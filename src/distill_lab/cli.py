@@ -375,7 +375,9 @@ def _resolve_threads(flag_value):
         return max(1, int(env))
     if flag_value is not None:
         return max(1, int(flag_value))
-    return os.cpu_count() or 1
+    # The restart and sample loops are small GIL-bound numpy operations, so
+    # extra pool threads only add contention.
+    return 1
 
 
 def _header(subcommand: str, flags: dict, seed) -> dict:

@@ -22,6 +22,7 @@ from .linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
+    _complex_normal,
     kron,
     partial_trace,
     permute_subsystems,
@@ -358,7 +359,3 @@ def _trace_slots(x: ComplexMatrix, slots: tuple[int, ...]) -> ComplexMatrix:
     for removed, slot in enumerate(sorted(slots)):
         out = partial_trace(out, [slot - removed])
     return out
-
-
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -279,3 +279,20 @@ def min_eigenvalue_hermitian(m: ComplexMatrix, tol: float = HERMITICITY_TOL) -> 
             f"matrix is not Hermitian within {tol} (max deviation {dev:.3e})"
         )
     return float(np.linalg.eigvalsh(m.data)[0])
+
+
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _qf(a: np.ndarray) -> np.ndarray:
+    """QR orthonormalization with the phase of R's diagonal absorbed."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r).copy()
+    diag[np.abs(diag) == 0] = 1.0
+    return q * (diag / np.abs(diag))
+
+
+def _child_seed(seed: int, index: int) -> int:
+    """Seed of the ``index``-th restart or sample, independent of run order."""
+    return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1, np.uint64)[0])

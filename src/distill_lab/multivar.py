@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
+from .linalg import _child_seed
 
 DEFAULT_BETA = -0.5
 
@@ -329,7 +330,3 @@ def _as_square_vec(v) -> np.ndarray:
     if d * d != vec.size:
         raise ShapeError(f"vector length {vec.size} is not a perfect square")
     return vec
-
-
-def _child_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1, np.uint64)[0])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import string
 import time
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 from ._parallel import parallel_map
 from .distill import RankTwoFactors
 from .errors import DimensionLimitError, ShapeError
-from .linalg import ComplexMatrix
+from .linalg import ComplexMatrix, _child_seed, _complex_normal, _qf
 
 # Largest composite side d^n the factored search will handle.
 MINIMIZE_SIDE_CAP = 256
@@ -56,6 +55,8 @@ class SearchConfig:
             raise ShapeError(f"local dimension must be >= 2, got {self.d}")
         if self.n < 1:
             raise ShapeError(f"copy count must be >= 1, got {self.n}")
+        if not -1.0 <= self.beta <= 1.0:
+            raise ShapeError(f"beta must be finite and lie in [-1, 1], got {self.beta}")
         if self.restarts < 1:
             raise ShapeError(f"need at least one restart, got {self.restarts}")
         if not self.grad_tol > 0:
@@ -115,25 +116,29 @@ class _QForm:
         self.n = len(self.dims)
         self.beta = float(beta)
         self.size = math.prod(self.dims)
-        self.subsets = []
-        for mask in range(1 << self.n):
-            slots = tuple(i for i in range(self.n) if mask >> i & 1)
-            self.subsets.append((slots, self.beta ** len(slots)))
 
     def value(self, x: np.ndarray) -> float:
-        total = 0.0
-        for slots, coef in self.subsets:
-            t = _trace_subset_raw(x, self.dims, slots)
-            total += coef * float(np.vdot(t, t).real)
-        return total
+        return self.value_and_lift(x)[0]
+
+    def value_and_lift(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        y = self.lift(x)
+        return float(np.vdot(x, y).real), y
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        """Self-adjoint map L with <X, L(X)> equal to the functional value."""
-        out = np.zeros_like(x)
-        for slots, coef in self.subsets:
-            t = _trace_subset_raw(x, self.dims, slots)
-            out += coef * _embed_raw(t, self.dims, slots)
-        return out
+        """Self-adjoint map L with <X, L(X)> equal to the functional value.
+
+        L = sum_S beta^|S| I_S (x) Tr_S is the product over slots i of
+        (I + beta * Phi_i) with Phi_i(X) = I_i (x) Tr_i X, since the Phi_i act
+        on distinct slots and commute.  Applying the factors one slot at a
+        time costs n traces instead of 2^n.
+        """
+        n = self.n
+        t = x.reshape(self.dims + self.dims).copy()
+        for i, d in enumerate(self.dims):
+            tr = np.trace(t, axis1=i, axis2=n + i)
+            diag = np.arange(d)
+            np.moveaxis(t, (i, n + i), (-2, -1))[..., diag, diag] += self.beta * tr[..., None]
+        return t.reshape(self.size, self.size)
 
 
 @dataclass
@@ -203,7 +208,7 @@ def grad_q(rt: RankTwoFactors, d: int, n: int, beta: float) -> TangentGradient:
         u=np.column_stack([rt.u1, rt.u2]),
         v=np.column_stack([rt.v1, rt.v2]),
     )
-    return _gradient(form, point)
+    return _tangent_gradient(point, form.lift(point.assemble()))
 
 
 def witness_tensor(beta: float, d: int) -> ComplexMatrix:
@@ -298,39 +303,43 @@ def _minimize_single(form: _QForm, cfg: SearchConfig, seed: int, history: list |
         u=_qf(_complex_normal(rng, (form.size, 2))),
         v=_qf(_complex_normal(rng, (form.size, 2))),
     )
-    value = form.value(point.assemble())
+    value, y = form.value_and_lift(point.assemble())
     if history is not None:
         history.append(value)
     step = 1.0
     iterations = 0
     for _ in range(cfg.max_iters):
-        grad = _gradient(form, point)
+        grad = _tangent_gradient(point, y)
         gn2 = grad.norm_sq()
         if math.sqrt(gn2) <= cfg.grad_tol:
             break
-        t = min(1.0, 2.0 * step)
-        accepted = False
-        for _bt in range(MAX_BACKTRACKS):
-            cand = _retract(point, grad, -t)
-            cand_value = form.value(cand.assemble())
-            if cand_value <= value - ARMIJO_C * t * gn2:
-                accepted = True
-                break
-            t *= ARMIJO_FACTOR
-        if not accepted:
+        accepted = _armijo_step(form, point, value, grad, gn2, min(1.0, 2.0 * step))
+        if accepted is None:
             break
-        point = cand
-        value = cand_value
+        point, value, y, step = accepted
         if history is not None:
             history.append(value)
-        step = t
         iterations += 1
     return value, point, iterations
 
 
-def _gradient(form: _QForm, point: _Point) -> TangentGradient:
-    x = point.assemble()
-    y = form.lift(x)
+def _armijo_step(form: _QForm, point: _Point, value: float, grad: TangentGradient, gn2: float, t: float):
+    """Backtrack from step ``t`` until the Armijo condition holds.
+
+    Returns the accepted ``(point, value, lift, step)``, whose lift the next
+    gradient reuses, or None when ``MAX_BACKTRACKS`` halvings all fail.
+    """
+    for _ in range(MAX_BACKTRACKS):
+        cand = _retract(point, grad, -t)
+        cand_value, cand_y = form.value_and_lift(cand.assemble())
+        if cand_value <= value - ARMIJO_C * t * gn2:
+            return cand, cand_value, cand_y, t
+        t *= ARMIJO_FACTOR
+    return None
+
+
+def _tangent_gradient(point: _Point, y: np.ndarray) -> TangentGradient:
+    """Projected gradient at ``point`` from the lift ``y`` of its matrix."""
     yh = y.conj().T
     s1, s2 = point.sigmas()
     u1, u2 = point.u[:, 0], point.u[:, 1]
@@ -374,64 +383,9 @@ def _canonical_factors(point: _Point) -> RankTwoFactors:
     return RankTwoFactors(sigma1=s1, sigma2=s2, u1=u1, v1=v1, u2=u2, v2=v2)
 
 
-def _trace_subset_raw(x: np.ndarray, dims: tuple[int, ...], slots: tuple[int, ...]) -> np.ndarray:
-    if not slots:
-        return x
-    n = len(dims)
-    letters = string.ascii_letters
-    row = list(letters[:n])
-    col = list(letters[n : 2 * n])
-    for s in slots:
-        col[s] = row[s]
-    kept = [i for i in range(n) if i not in slots]
-    out = "".join(row[i] for i in kept) + "".join(col[i] for i in kept)
-    t = np.einsum("".join(row) + "".join(col) + "->" + out, x.reshape(dims + dims))
-    size = math.prod(dims[i] for i in kept) if kept else 1
-    return t.reshape(size, size)
-
-
-def _embed_raw(z: np.ndarray, dims: tuple[int, ...], slots: tuple[int, ...]) -> np.ndarray:
-    """Adjoint of the subset partial trace: tensor an identity back in.
-
-    The product ``kron(z, I)`` carries slots in kept-then-traced order; the
-    transpose axes are the inverse of that ordering, which restores slot
-    positions (the forward order itself is wrong whenever it is not an
-    involution, i.e. for three or more slots).
-    """
-    if not slots:
-        return z
-    n = len(dims)
-    kept = [i for i in range(n) if i not in slots]
-    order = kept + list(slots)
-    inverse = [0] * n
-    for position, slot in enumerate(order):
-        inverse[slot] = position
-    traced_size = math.prod(dims[s] for s in slots)
-    w = np.kron(z, np.eye(traced_size, dtype=z.dtype))
-    order_dims = tuple(dims[o] for o in order)
-    axes = inverse + [n + p for p in inverse]
-    size = math.prod(dims)
-    return w.reshape(order_dims + order_dims).transpose(axes).reshape(size, size)
-
-
-def _child_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1, np.uint64)[0])
-
-
 def _vec_to_pairs(vec: np.ndarray) -> list:
     return [[float(v.real), float(v.imag)] for v in np.asarray(vec).reshape(-1)]
 
 
 def _pairs_to_vec(pairs) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-
-
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _qf(a: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) == 0] = 1.0
-    return q * (diag / np.abs(diag))

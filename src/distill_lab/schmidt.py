@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import ComplexMatrix, MultipartiteState, svd
+from .linalg import ComplexMatrix, MultipartiteState, _complex_normal, _qf, svd
 
 # Relative cutoff separating genuine rank from double-precision noise.
 RANK_TOL = 1e-9
@@ -138,15 +138,3 @@ def _bipartite_dim(state: MultipartiteState) -> int:
             f"expected two subsystems of equal dimension, got dims {state.dims}"
         )
     return state.dims[0]
-
-
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _qf(a: np.ndarray) -> np.ndarray:
-    """QR orthonormalization with the phase of R's diagonal absorbed."""
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
-    diag[np.abs(diag) == 0] = 1.0
-    return q * (diag / np.abs(diag))

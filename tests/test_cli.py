@@ -73,6 +73,13 @@ class TestMinimize:
     def test_cap_exceeded_exits_two(self):
         assert run(["minimize", "--d", "4", "--n", "5", "--beta", "-0.5"]) == 2
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-7"])
+    def test_bad_beta_exits_two(self, beta, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["minimize", "--d", "2", "--n", "1", "--beta", beta]) == 2
+        assert "beta must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestSweep:
     def test_sorted_rows(self, tmp_path):
@@ -186,6 +193,6 @@ class TestThreadResolution:
         monkeypatch.delenv("DISTILL_LAB_THREADS", raising=False)
         assert cli._resolve_threads(8) == 8
 
-    def test_defaults_to_cpu_count(self, monkeypatch):
+    def test_defaults_to_one_thread(self, monkeypatch):
         monkeypatch.delenv("DISTILL_LAB_THREADS", raising=False)
-        assert cli._resolve_threads(None) >= 1
+        assert cli._resolve_threads(None) == 1

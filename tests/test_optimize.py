@@ -2,21 +2,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distill_lab.distill import RankTwoFactors, q_functional
+from distill_lab.distill import RankTwoFactors, f_bilinear, q_functional
 from distill_lab.errors import DimensionLimitError, ShapeError
+from distill_lab.linalg import ComplexMatrix
 from distill_lab.optimize import (
     SearchConfig,
+    _armijo_step,
     _minimize_single,
     _Point,
     _QForm,
     _retract,
+    _tangent_gradient,
     grad_q,
     minimize_q,
     report_dumps,
     report_loads,
     witness_tensor,
 )
+
+
+@st.composite
+def slot_dims(draw):
+    """One to six slot dimensions, each >= 2, with composite side <= 64."""
+    dims = [draw(st.integers(2, 8))]
+    while math.prod(dims) <= 32 and draw(st.booleans()):
+        dims.append(draw(st.integers(2, min(8, 64 // math.prod(dims)))))
+    return tuple(dims)
 
 
 def analytic_optimum_point(d):
@@ -29,8 +43,6 @@ def analytic_optimum_point(d):
 class TestQForm:
     def test_value_matches_public_subset_sum(self):
         rng = np.random.default_rng(42)
-        from distill_lab.linalg import ComplexMatrix
-
         for dims in ((2, 2), (3,), (2, 2, 2)):
             size = int(np.prod(dims))
             raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -51,20 +63,48 @@ class TestQForm:
             assert lhs == pytest.approx(rhs, abs=1e-11)
             assert np.vdot(x, form.lift(x)).real == pytest.approx(form.value(x), abs=1e-11)
 
-    def test_embed_inverts_trace_on_every_subset(self):
-        from distill_lab.optimize import _embed_raw, _trace_subset_raw
-
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
+    def test_lift_polarizes_to_public_bilinear(self, dims):
         rng = np.random.default_rng(44)
-        dims = (2, 3, 2)
-        size = 12
+        size = int(np.prod(dims))
+        for beta in (-0.5, -1.0, 0.7):
+            form = _QForm(dims, beta)
+            x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            public = f_bilinear(ComplexMatrix(x, dims, dims), ComplexMatrix(y, dims, dims), beta)
+            assert np.vdot(x, form.lift(y)) == pytest.approx(public, abs=1e-11)
+
+    @settings(max_examples=60, deadline=None)
+    @given(slot_dims(), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_value_matches_subset_sum_on_random_dims(self, dims, beta, seed):
+        rng = np.random.default_rng(seed)
+        size = math.prod(dims)
         x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        for mask in range(1, 1 << 3):
-            slots = tuple(i for i in range(3) if mask >> i & 1)
-            kept = int(np.prod([dims[i] for i in range(3) if i not in slots])) if len(slots) < 3 else 1
-            z = rng.standard_normal((kept, kept)) + 1j * rng.standard_normal((kept, kept))
-            lhs = np.vdot(_embed_raw(z, dims, slots), x)
-            rhs = np.vdot(z, _trace_subset_raw(x, dims, slots))
-            assert lhs == pytest.approx(rhs, abs=1e-11)
+        x /= np.linalg.norm(x)
+        public = q_functional(ComplexMatrix(x, dims, dims), beta)
+        # |value| <= prod(1 + |beta| d_i) for unit x; allow rounding on that scale
+        scale = math.prod(1.0 + abs(beta) * d for d in dims)
+        assert _QForm(dims, beta).value(x) == pytest.approx(public, abs=1e-13 * scale)
+
+    def test_reused_lift_gives_the_fresh_gradient(self):
+        cfg = SearchConfig(d=2, n=3, beta=-0.6)
+        form = _QForm(cfg.dims, cfg.beta)
+        rng = np.random.default_rng(45)
+        point = _Point(
+            theta=0.3,
+            u=np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0],
+            v=np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0],
+        )
+        value, y = form.value_and_lift(point.assemble())
+        for _ in range(5):
+            grad = _tangent_gradient(point, y)
+            point, value, y, _step = _armijo_step(form, point, value, grad, grad.norm_sq(), 1.0)
+            fresh = _tangent_gradient(point, form.lift(point.assemble()))
+            reused = _tangent_gradient(point, y)
+            assert value == form.value(point.assemble())
+            assert reused.theta == fresh.theta
+            assert np.array_equal(reused.u, fresh.u)
+            assert np.array_equal(reused.v, fresh.v)
 
 
 class TestSearchConfig:
@@ -77,6 +117,15 @@ class TestSearchConfig:
             SearchConfig(d=2, n=1, beta=-0.5, restarts=0)
         with pytest.raises(ShapeError):
             SearchConfig(d=2, n=1, beta=-0.5, grad_tol=0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -7.0, -1.0 - 1e-12, 1.5])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(ShapeError, match="beta"):
+            SearchConfig(d=2, n=1, beta=beta)
+
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
+    def test_accepts_closed_range_endpoints(self, beta):
+        assert SearchConfig(d=2, n=1, beta=beta).beta == beta
 
     def test_side_cap(self):
         with pytest.raises(DimensionLimitError):
