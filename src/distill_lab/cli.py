@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bundles import Bundle, write_bundle
-from .errors import DimensionLimitError, DistillLabError
+from .errors import DistillLabError
 from .iterate import certify_iterate, e_step, initial_iterate
 from .multivar import hessian_spectrum_sweep, nonconvexity_demo, grad_g, RankOnePoint
 from .optimize import (
@@ -48,9 +47,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except DimensionLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DistillLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -82,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=None, help="write the JSON report here")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("sweep", help="minimize across a grid of beta values")
@@ -92,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the named invariant suite")
@@ -112,7 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=-0.5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--bundle-dir", type=Path, default=Path("."))
     p.set_defaults(func=_cmd_hessian)
 
@@ -122,7 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--bundle-dir", type=Path, default=Path("."))
     p.set_defaults(func=_cmd_iterate)
 
@@ -138,8 +130,8 @@ def _cmd_bound(args) -> int:
     if not 1 <= args.n <= 64:
         print(f"error: --n must lie in 1..64, got {args.n}", file=sys.stderr)
         return 2
-    if not args.tol > 0:
-        print(f"error: --tol must be positive, got {args.tol}", file=sys.stderr)
+    if not 0 < args.tol < np.inf:
+        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
         return 2
     rows = []
     for n in range(1, args.n + 1):
@@ -171,7 +163,7 @@ def _cmd_minimize(args) -> int:
         grad_tol=args.grad_tol,
         seed=args.seed,
     )
-    report = minimize_q(cfg, threads=_resolve_threads(args.threads))
+    report = minimize_q(cfg)
     header = _header(
         "minimize",
         {
@@ -224,11 +216,10 @@ def _cmd_sweep(args) -> int:
     if any(not -1.0 <= b <= 0.0 for b in grid):
         print("error: every grid value must lie in [-1, 0]", file=sys.stderr)
         return 2
-    threads = _resolve_threads(args.threads)
     rows = []
     for beta in sorted(grid):
         cfg = SearchConfig(d=args.d, n=args.n, beta=beta, restarts=args.restarts, seed=args.seed)
-        report = minimize_q(cfg, threads=threads)
+        report = minimize_q(cfg)
         rows.append((beta, report.best_value))
     header = _header(
         "sweep",
@@ -258,9 +249,12 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_report(path: Path) -> int:
-    data = json.loads(path.read_text())
-    payload = data.get("report", data)
-    report = report_from_json(payload)
+    try:
+        data = json.loads(path.read_text())
+        report = report_from_json(data.get("report", data))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"error: cannot load report {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     cfg = report.config
     point = report.best_point
     recomputed = q_functional(point.to_matrix(cfg.dims), cfg.beta)
@@ -292,12 +286,7 @@ def _cmd_hessian(args) -> int:
         print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
         return 2
     rows = hessian_spectrum_sweep(
-        args.d,
-        args.samples,
-        args.seed,
-        beta=args.beta,
-        bundle_dir=args.bundle_dir,
-        threads=_resolve_threads(args.threads),
+        args.d, args.samples, args.seed, beta=args.beta, bundle_dir=args.bundle_dir
     )
     header = _header(
         "hessian", {"d": args.d, "samples": args.samples, "beta": args.beta}, seed=args.seed
@@ -324,8 +313,7 @@ def _cmd_iterate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    state = None
-    side = (args.d ** (2 ** args.k)) ** 2
+    side = (args.d**copies) ** 2
     if side <= ITERATE_MATERIALIZE_CAP:
         state = initial_iterate(params)
         for j in range(args.k):
@@ -333,19 +321,9 @@ def _cmd_iterate(args) -> int:
             print(f"step {j + 1}: side {state.matrix.rows}, trace {_fmt(float(np.trace(state.matrix.data).real))}")
     else:
         print(f"side {side} too large to materialize; certifying through the factored search")
-    if state is not None:
-        min_value, _point = certify_iterate(
-            state,
-            params,
-            restarts=args.restarts,
-            seed=args.seed,
-            threads=_resolve_threads(args.threads),
-            bundle_dir=args.bundle_dir,
-        )
-    else:
-        cfg = SearchConfig(d=args.d, n=copies, beta=args.beta, restarts=args.restarts, seed=args.seed)
-        report = minimize_q(cfg, threads=_resolve_threads(args.threads))
-        min_value = report.best_value / params.normalization**copies
+    min_value, _point = certify_iterate(
+        params, args.k, restarts=args.restarts, seed=args.seed, bundle_dir=args.bundle_dir
+    )
     print(f"k={args.k} ({copies} copies): min quadratic form = {_fmt(min_value)}")
     if min_value < -1e-9:
         print("distillation witness found (state not undistillable at this copy count)")
@@ -367,17 +345,6 @@ def _cmd_demo_nonconvexity(args) -> int:
     print(f"cosine to sparse pattern = {_fmt(cosine)}")
     print(f"endpoint gradient maxima = {_fmt(end1)}, {_fmt(end2)}")
     return 0
-
-
-def _resolve_threads(flag_value):
-    env = os.environ.get("DISTILL_LAB_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    if flag_value is not None:
-        return max(1, int(flag_value))
-    # The restart and sample loops are small GIL-bound numpy operations, so
-    # extra pool threads only add contention.
-    return 1
 
 
 def _header(subcommand: str, flags: dict, seed) -> dict:

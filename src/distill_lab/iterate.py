@@ -96,37 +96,28 @@ def e_step(s: IterateState, dim_cap: int = DEFAULT_DIM_CAP) -> IterateState:
 
 
 def certify_iterate(
-    s: IterateState,
-    beta_context: WernerParams,
+    params: WernerParams,
+    k: int,
     restarts: int = 20,
     seed: int = DEFAULT_SEED,
-    threads: int | None = None,
     bundle_dir: "Path | str | None" = None,
 ) -> tuple[float, RankTwoFactors]:
-    """Minimize the partial-transpose quadratic form over rank-<=2 states.
+    """Minimize the partial-transpose quadratic form of the k-step iterate
+    of the Werner state with ``params`` over rank-<=2 states.
 
-    Requires ``s`` to be the k-step iterate of the Werner state with the
-    given parameters; the minimization then runs over coefficient matrices
-    with 2^k copy slots (never materializing the large operator) and the
-    result is rescaled by the Werner normalization to the raw quadratic-form
-    value.  A minimum below -1e-9 is a distillation witness; when
-    ``bundle_dir`` is set, the witness point is serialized there.
+    The minimization runs over coefficient matrices with 2^k copy slots
+    (never materializing the large operator) and the result is rescaled by
+    the Werner normalization to the raw quadratic-form value.  A minimum
+    below -1e-9 is a distillation witness; when ``bundle_dir`` is set, the
+    witness point is serialized there.
     """
-    n_copies = 2**s.k
-    expected = beta_context.d**n_copies
-    if s.local_dim != expected:
-        raise ShapeError(
-            f"iterate local dim {s.local_dim} does not match {beta_context.d}^{n_copies}"
-        )
-    cfg = SearchConfig(
-        d=beta_context.d,
-        n=n_copies,
-        beta=beta_context.beta,
-        restarts=restarts,
-        seed=seed,
-    )
-    report = minimize_q(cfg, threads=threads)
-    scale = beta_context.normalization**n_copies
+    k = int(k)
+    if k < 0:
+        raise ShapeError(f"iteration count must be >= 0, got {k}")
+    n_copies = 2**k
+    cfg = SearchConfig(d=params.d, n=n_copies, beta=params.beta, restarts=restarts, seed=seed)
+    report = minimize_q(cfg)
+    scale = params.normalization**n_copies
     min_value = report.best_value / scale
     if min_value < -CERTIFY_TOL and bundle_dir is not None:
         from .bundles import Bundle, write_bundle
@@ -135,9 +126,9 @@ def certify_iterate(
         bundle = Bundle(
             kind="distillation-witness",
             params={
-                "d": beta_context.d,
+                "d": params.d,
                 "n": n_copies,
-                "beta": beta_context.beta,
+                "beta": params.beta,
                 "seed": cfg.seed,
                 "sigma1": point.sigma1,
                 "sigma2": point.sigma2,
@@ -145,7 +136,7 @@ def certify_iterate(
             },
             vectors={"u1": point.u1, "v1": point.v1, "u2": point.u2, "v2": point.v2},
         )
-        write_bundle(bundle, Path(bundle_dir) / f"witness-k{s.k}-{cfg.seed}.bundle")
+        write_bundle(bundle, Path(bundle_dir) / f"witness-k{k}-{cfg.seed}.bundle")
     return min_value, report.best_point
 
 

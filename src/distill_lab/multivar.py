@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linalg import _child_seed
+from .states import WernerParams
 
 DEFAULT_BETA = -0.5
 
@@ -149,6 +150,7 @@ def nonconvexity_demo(d: int, beta: float = DEFAULT_BETA) -> tuple[np.ndarray, f
     d = int(d)
     if d < 3:
         raise ShapeError(f"demo pattern requires d >= 3, got {d}")
+    beta = WernerParams(d, beta).beta
     n = d * d
     e0 = np.zeros(n)
     e0[0] = 1.0
@@ -179,7 +181,6 @@ def hessian_spectrum_sweep(
     beta: float = DEFAULT_BETA,
     counterexample_threshold: float = HESSIAN_FINDING_THRESHOLD,
     bundle_dir: "Path | str | None" = None,
-    threads: int | None = None,
 ) -> list[SweepRow]:
     """Sample random critical points and record the Hessian's least eigenvalue.
 
@@ -187,8 +188,7 @@ def hessian_spectrum_sweep(
     Hessian at C = D0, and reports the minimum eigenvalue per sample.  Any
     value below ``counterexample_threshold`` is written out as a reproduction
     bundle when ``bundle_dir`` is given; the sweep itself always completes —
-    a finding is data, not an error.  Per-sample seeds derive from ``seed``,
-    so results are independent of ``threads``.
+    a finding is data, not an error.  Per-sample seeds derive from ``seed``.
     """
     d = int(d)
     samples = int(samples)
@@ -196,6 +196,7 @@ def hessian_spectrum_sweep(
         raise ShapeError(f"sweep is capped at d <= 4, got {d}")
     if samples < 1:
         raise ShapeError(f"need at least one sample, got {samples}")
+    beta = WernerParams(d, beta).beta
 
     def run(idx: int) -> SweepRow:
         child = _child_seed(seed, idx)
@@ -223,9 +224,7 @@ def hessian_spectrum_sweep(
             write_bundle(bundle, Path(bundle_dir) / f"hessian-{child}.bundle")
         return SweepRow(point_id=idx, seed=child, min_eigenvalue=min_eig)
 
-    from ._parallel import parallel_map
-
-    return parallel_map(run, samples, threads)
+    return [run(i) for i in range(samples)]
 
 
 def fd_gradient(func, x0: np.ndarray, step: float = FD_GRAD_STEP) -> np.ndarray:

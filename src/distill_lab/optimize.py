@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .distill import RankTwoFactors
 from .errors import DimensionLimitError, ShapeError
 from .linalg import ComplexMatrix, _child_seed, _complex_normal, _qf
@@ -59,6 +58,8 @@ class SearchConfig:
             raise ShapeError(f"beta must be finite and lie in [-1, 1], got {self.beta}")
         if self.restarts < 1:
             raise ShapeError(f"need at least one restart, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ShapeError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.grad_tol > 0:
             raise ShapeError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.d**self.n > MINIMIZE_SIDE_CAP:
@@ -157,7 +158,7 @@ class _Point:
         )
 
 
-def minimize_q(cfg: SearchConfig, threads: int | None = None) -> SearchReport:
+def minimize_q(cfg: SearchConfig) -> SearchReport:
     """Random-restart projected gradient descent on the subset-sum functional.
 
     Each restart draws Haar frames and a uniform singular angle, then runs
@@ -170,11 +171,7 @@ def minimize_q(cfg: SearchConfig, threads: int | None = None) -> SearchReport:
     start = time.perf_counter()
     form = _QForm(cfg.dims, cfg.beta)
     child_seeds = [_child_seed(cfg.seed, i) for i in range(cfg.restarts)]
-
-    def run(idx: int):
-        return _minimize_single(form, cfg, child_seeds[idx])
-
-    results = parallel_map(run, cfg.restarts, threads)
+    results = [_minimize_single(form, cfg, s) for s in child_seeds]
     records = []
     best_idx = 0
     for idx, (value, _point, iters) in enumerate(results):

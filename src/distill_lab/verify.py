@@ -369,7 +369,7 @@ def _check_certify_sign_grid(seed, bundle_dir):
     for beta in (-0.6, -0.5, -0.3, -0.25, -0.1):
         params = WernerParams(2, beta)
         s1 = e_step(initial_iterate(params))
-        min_value, point = certify_iterate(s1, params, restarts=12, seed=seed, bundle_dir=bundle_dir)
+        min_value, point = certify_iterate(params, 1, restarts=12, seed=seed, bundle_dir=bundle_dir)
         report = minimize_q(SearchConfig(d=2, n=2, beta=beta, restarts=12, seed=seed))
         same_sign = (min_value < -1e-9) == (report.best_value < -1e-9)
         # returned point must reproduce the raw quadratic form on the operator

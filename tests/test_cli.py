@@ -35,6 +35,8 @@ class TestBound:
         assert run(["bound", "--n", "0"]) == 2
         assert run(["bound", "--n", "65"]) == 2
         assert run(["bound", "--n", "3", "--tol", "-1"]) == 2
+        assert run(["bound", "--n", "3", "--tol", "inf"]) == 2
+        assert run(["bound", "--n", "3", "--tol", "nan"]) == 2
 
     def test_stdout_when_no_out(self, capsys):
         assert run(["bound", "--n", "1"]) == 0
@@ -79,6 +81,17 @@ class TestMinimize:
         assert run(["minimize", "--d", "2", "--n", "1", "--beta", beta]) == 2
         assert "beta must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("max_iters", ["0", "-5"])
+    def test_bad_max_iters_exits_two(self, max_iters, capsys):
+        argv = ["minimize", "--d", "2", "--n", "1", "--beta", "-0.3", "--max-iters", max_iters]
+        assert run(argv) == 2
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+
+    def test_threads_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["minimize", "--d", "2", "--n", "1", "--beta", "-0.3", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestSweep:
@@ -130,6 +143,16 @@ class TestVerify:
     def test_report_suite_requires_input(self):
         assert run(["verify", "--suite", "report"]) == 2
 
+    @pytest.mark.parametrize(
+        "content", [None, "not json", "[]", '{"report": {"best_value": 0.5}}']
+    )
+    def test_unloadable_report_exits_two(self, content, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        if content is not None:
+            path.write_text(content)
+        assert run(["verify", "--suite", "report", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load report")
+
 
 class TestHessian:
     def test_csv_rows_and_summary(self, tmp_path):
@@ -158,6 +181,12 @@ class TestHessian:
     def test_cap_exits_two(self):
         assert run(["hessian", "--d", "5", "--samples", "1"]) == 2
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "5"])
+    def test_bad_beta_exits_two(self, beta, tmp_path, capsys):
+        argv = ["hessian", "--d", "2", "--samples", "3", "--beta", beta, "--bundle-dir", str(tmp_path)]
+        assert run(argv) == 2
+        assert "beta must lie in [-1, 1]" in capsys.readouterr().err
+
 
 class TestIterate:
     def test_distillable_exits_three(self, tmp_path, capsys):
@@ -175,6 +204,17 @@ class TestIterate:
     def test_oversized_certification_exits_two(self):
         assert run(["iterate", "--d", "3", "--k", "3", "--beta", "-0.25"]) == 2
 
+    def test_unmaterialized_side_writes_witness_bundle(self, tmp_path, capsys):
+        code = run(
+            ["iterate", "--d", "9", "--k", "1", "--beta", "-0.9", "--restarts", "2",
+             "--bundle-dir", str(tmp_path)]
+        )
+        assert code == 3
+        assert "too large to materialize" in capsys.readouterr().out
+        files = list(tmp_path.glob("witness-k1-*.bundle"))
+        assert len(files) == 1
+        assert read_bundle(files[0]).params["n"] == 2
+
 
 class TestDemoNonconvexity:
     def test_reports_cosine_one(self, capsys):
@@ -183,16 +223,8 @@ class TestDemoNonconvexity:
         assert "cosine to sparse pattern = 1" in out
         assert "endpoint gradient maxima = 0, 0" in out
 
+    @pytest.mark.parametrize("beta", ["nan", "inf", "5"])
+    def test_bad_beta_exits_two(self, beta, capsys):
+        assert run(["demo-nonconvexity", "--d", "3", "--beta", beta]) == 2
+        assert "beta must lie in [-1, 1]" in capsys.readouterr().err
 
-class TestThreadResolution:
-    def test_env_overrides_flag(self, monkeypatch):
-        monkeypatch.setenv("DISTILL_LAB_THREADS", "2")
-        assert cli._resolve_threads(8) == 2
-
-    def test_flag_used_without_env(self, monkeypatch):
-        monkeypatch.delenv("DISTILL_LAB_THREADS", raising=False)
-        assert cli._resolve_threads(8) == 8
-
-    def test_defaults_to_one_thread(self, monkeypatch):
-        monkeypatch.delenv("DISTILL_LAB_THREADS", raising=False)
-        assert cli._resolve_threads(None) == 1

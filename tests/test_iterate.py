@@ -95,7 +95,7 @@ class TestEStep:
 class TestCertifyIterate:
     def test_distillable_region_yields_negative_minimum(self):
         params = WernerParams(2, -0.6)
-        min_value, point = certify_iterate(initial_iterate(params), params, restarts=10, seed=1)
+        min_value, point = certify_iterate(params, 0, restarts=10, seed=1)
         expect = (1 + 2 * params.beta) / params.normalization
         assert min_value == pytest.approx(expect, abs=1e-8)
         # witness reproduces the raw quadratic form
@@ -106,28 +106,20 @@ class TestCertifyIterate:
         assert direct == pytest.approx(min_value, abs=1e-10)
 
     def test_two_copy_floor_region_nonnegative(self):
-        params = WernerParams(3, -0.25)
-        s1 = e_step(initial_iterate(params))
-        min_value, _ = certify_iterate(s1, params, restarts=10, seed=2)
+        min_value, _ = certify_iterate(WernerParams(3, -0.25), 1, restarts=10, seed=2)
         assert min_value >= -1e-9
 
     def test_separable_point_trivially_nonnegative(self):
-        params = WernerParams(2, 0.0)
-        s1 = e_step(initial_iterate(params))
-        min_value, _ = certify_iterate(s1, params, restarts=4, seed=3)
+        min_value, _ = certify_iterate(WernerParams(2, 0.0), 1, restarts=4, seed=3)
         assert min_value >= 0.0
 
-    def test_rejects_mismatched_context(self):
-        params = WernerParams(2, -0.25)
-        s1 = e_step(initial_iterate(params))
-        with pytest.raises(ShapeError):
-            certify_iterate(s1, WernerParams(3, -0.25), restarts=2, seed=4)
+    def test_rejects_negative_k(self):
+        with pytest.raises(ShapeError, match="iteration count"):
+            certify_iterate(WernerParams(2, -0.25), -1)
 
     def test_witness_bundle_written_on_violation(self, tmp_path):
         params = WernerParams(2, -0.7)
-        min_value, _ = certify_iterate(
-            initial_iterate(params), params, restarts=6, seed=5, bundle_dir=tmp_path
-        )
+        min_value, _ = certify_iterate(params, 0, restarts=6, seed=5, bundle_dir=tmp_path)
         assert min_value < -1e-9
         files = list(tmp_path.glob("witness-k0-*.bundle"))
         assert len(files) == 1
@@ -139,8 +131,6 @@ class TestCertifyIterate:
         from distill_lab.optimize import SearchConfig, minimize_q
 
         for beta in (-0.6, -0.5, -0.3, -0.25, -0.1):
-            params = WernerParams(2, beta)
-            s1 = e_step(initial_iterate(params))
-            min_value, _ = certify_iterate(s1, params, restarts=8, seed=6)
+            min_value, _ = certify_iterate(WernerParams(2, beta), 1, restarts=8, seed=6)
             report = minimize_q(SearchConfig(d=2, n=2, beta=beta, restarts=8, seed=6))
             assert (min_value < -1e-9) == (report.best_value < -1e-9)

@@ -117,6 +117,8 @@ class TestSearchConfig:
             SearchConfig(d=2, n=1, beta=-0.5, restarts=0)
         with pytest.raises(ShapeError):
             SearchConfig(d=2, n=1, beta=-0.5, grad_tol=0.0)
+        with pytest.raises(ShapeError, match="max_iters"):
+            SearchConfig(d=2, n=1, beta=-0.5, max_iters=0)
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -7.0, -1.0 - 1e-12, 1.5])
     def test_rejects_bad_beta(self, beta):
@@ -157,13 +159,6 @@ class TestMinimizeQ:
         assert a.per_restart == b.per_restart
         assert np.array_equal(a.best_point.u1, b.best_point.u1)
         assert np.array_equal(a.best_point.v2, b.best_point.v2)
-
-    def test_threads_do_not_change_results(self):
-        cfg = SearchConfig(d=2, n=2, beta=-0.4, restarts=6, seed=106)
-        serial = minimize_q(cfg, threads=1)
-        parallel = minimize_q(cfg, threads=3)
-        assert serial.best_value == parallel.best_value
-        assert serial.per_restart == parallel.per_restart
 
     def test_best_value_is_min_over_restarts(self):
         report = minimize_q(SearchConfig(d=3, n=1, beta=-0.7, restarts=8, seed=107))

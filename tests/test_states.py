@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,6 @@ class TestBetaBound:
             beta_bound(0)
         with pytest.raises(ValueError):
             beta_bound(3, tol=0.0)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                beta_bound(3, tol=tol)
