@@ -10,6 +10,7 @@ Layout::
     distill-lab bundle v1
     kind=<slug>
     <name>=<int or hex float>          # one line per scalar parameter
+                                       # (nan, inf and -inf stay as words)
     ...
     vector <name> <complex|real> <length>
     <re_hex> <im_hex>                  # one line per entry (real: one field)
@@ -18,12 +19,15 @@ Layout::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = "distill-lab bundle v1"
+
+_INT_LITERAL = re.compile(r"-?[0-9]+")
 
 
 @dataclass
@@ -38,6 +42,8 @@ def write_bundle(bundle: Bundle, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [MAGIC, f"kind={bundle.kind}"]
     for name, value in bundle.params.items():
+        if "=" in name or any(ch.isspace() for ch in name):
+            raise ValueError(f"bundle parameter name {name!r} contains '=' or whitespace")
         if isinstance(value, bool):
             raise ValueError(f"bundle parameter {name!r} must be int or float")
         if isinstance(value, (int, np.integer)):
@@ -85,7 +91,7 @@ def read_bundle(path) -> Bundle:
             i += 1 + length
         elif "=" in line:
             name, raw = line.split("=", 1)
-            bundle.params[name] = float.fromhex(raw) if "0x" in raw else int(raw)
+            bundle.params[name] = int(raw) if _INT_LITERAL.fullmatch(raw) else float.fromhex(raw)
             i += 1
         elif not line.strip():
             i += 1

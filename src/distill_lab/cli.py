@@ -19,10 +19,11 @@ import numpy as np
 from . import __version__
 from .bundles import Bundle, write_bundle
 from .errors import DistillLabError
-from .iterate import certify_iterate, e_step, initial_iterate
+from .iterate import certify_iterate, e_step, initial_iterate, witness_bundle_path
 from .multivar import hessian_spectrum_sweep, nonconvexity_demo, grad_g, RankOnePoint
 from .optimize import (
     DEFAULT_SEED,
+    MINIMIZE_SIDE_CAP,
     SearchConfig,
     minimize_q,
     report_from_json,
@@ -306,13 +307,15 @@ def _cmd_iterate(args) -> int:
     if args.k < 0:
         print(f"error: --k must be >= 0, got {args.k}", file=sys.stderr)
         return 2
-    copies = 2**args.k
-    if args.d**copies > 256:
+    # d >= 2, so k > 3 means at least 2^16 > 256: reject before computing d^(2^k).
+    if args.k > 3 or args.d ** (2**args.k) > MINIMIZE_SIDE_CAP:
         print(
-            f"error: certification at k={args.k} needs factor length {args.d**copies} > 256",
+            f"error: certification at k={args.k} needs factor length {args.d}^(2^{args.k})"
+            f" > {MINIMIZE_SIDE_CAP}",
             file=sys.stderr,
         )
         return 2
+    copies = 2**args.k
     side = (args.d**copies) ** 2
     if side <= ITERATE_MATERIALIZE_CAP:
         state = initial_iterate(params)
@@ -326,7 +329,11 @@ def _cmd_iterate(args) -> int:
     )
     print(f"k={args.k} ({copies} copies): min quadratic form = {_fmt(min_value)}")
     if min_value < -1e-9:
-        print("distillation witness found (state not undistillable at this copy count)")
+        path = witness_bundle_path(args.bundle_dir, args.k, args.seed)
+        print(
+            "distillation witness found (state not undistillable at this copy count);"
+            f" witness bundle: {path}"
+        )
         return 3
     print("no violation found at this copy count")
     return 0

@@ -136,8 +136,13 @@ def certify_iterate(
             },
             vectors={"u1": point.u1, "v1": point.v1, "u2": point.u2, "v2": point.v2},
         )
-        write_bundle(bundle, Path(bundle_dir) / f"witness-k{k}-{cfg.seed}.bundle")
+        write_bundle(bundle, witness_bundle_path(bundle_dir, k, cfg.seed))
     return min_value, report.best_point
+
+
+def witness_bundle_path(bundle_dir: "Path | str", k: int, seed: int) -> Path:
+    """Where ``certify_iterate`` writes the witness it finds at step ``k``."""
+    return Path(bundle_dir) / f"witness-k{int(k)}-{int(seed)}.bundle"
 
 
 def iterate_partial_transpose(s: IterateState) -> ComplexMatrix:

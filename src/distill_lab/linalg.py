@@ -286,11 +286,14 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _qf(a: np.ndarray) -> np.ndarray:
-    """QR orthonormalization with the phase of R's diagonal absorbed."""
+    """QR orthonormalization with the phase of R's diagonal absorbed.
+
+    ``a`` is (..., m, k); leading axes are a stack of independent matrices.
+    """
     q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[np.abs(diag) == 0] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def _child_seed(seed: int, index: int) -> int:

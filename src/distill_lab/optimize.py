@@ -5,6 +5,11 @@ A point is (theta, U, V): a singular angle with sigma = (cos, sin), plus two
 orthonormal frames holding the left/right factor pairs as columns.  This
 parameterization stays exactly on the rank-<=2 manifold the functional is
 quantified over; descent steps are retracted back onto it by QR.
+
+The search holds its restarts on a leading stack axis: thetas of shape
+(R,) and frames of shape (R, 2, N, 2), with U = frames[:, 0] and
+V = frames[:, 1].  Rows share no arithmetic, so a restart's trajectory does
+not depend on which other restarts run beside it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +33,16 @@ DEFAULT_SEED = 0xD157
 ARMIJO_C = 1e-4
 ARMIJO_FACTOR = 0.5
 MAX_BACKTRACKS = 60
+
+# Restarts advance together in blocks whose stacked lift stays under this
+# many bytes.  Stacking pays at small sides, where numpy call overhead
+# dominates; a lift of side 256 is already 1 MiB, and stacks of two or more
+# of them cost 40-150% more per lift than one at a time.
+LIFT_BLOCK_BYTES = 1 << 20
+
+# Why a restart stopped; RestartRecord.stop_reason holds one of these.
+STOP_REASONS = ("grad_tol", "max_iters", "line_search")
+_LIVE, _GRAD_TOL, _MAX_ITERS, _LINE_SEARCH = -1, 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -62,9 +77,10 @@ class SearchConfig:
             raise ShapeError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.grad_tol > 0:
             raise ShapeError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.d**self.n > MINIMIZE_SIDE_CAP:
+        # d >= 2, so n past log2 of the cap exceeds it without computing d**n.
+        if self.n > MINIMIZE_SIDE_CAP.bit_length() - 1 or self.d**self.n > MINIMIZE_SIDE_CAP:
             raise DimensionLimitError(
-                f"side {self.d**self.n} exceeds the search cap {MINIMIZE_SIDE_CAP}"
+                f"side {self.d}^{self.n} exceeds the search cap {MINIMIZE_SIDE_CAP}"
             )
 
     @property
@@ -81,6 +97,7 @@ class RestartRecord:
     seed: int
     final_value: float
     iterations: int
+    stop_reason: str | None  # one of STOP_REASONS; None in reports written before it existed
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,7 @@ class TangentGradient:
 
 
 class _QForm:
-    """Subset-sum functional and its lift on raw arrays, fixed (dims, beta)."""
+    """Lift of the subset-sum functional on raw arrays, fixed (dims, beta)."""
 
     def __init__(self, dims: tuple[int, ...], beta: float):
         self.dims = tuple(int(d) for d in dims)
@@ -118,44 +135,30 @@ class _QForm:
         self.beta = float(beta)
         self.size = math.prod(self.dims)
 
-    def value(self, x: np.ndarray) -> float:
-        return self.value_and_lift(x)[0]
-
-    def value_and_lift(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        y = self.lift(x)
-        return float(np.vdot(x, y).real), y
-
     def lift(self, x: np.ndarray) -> np.ndarray:
         """Self-adjoint map L with <X, L(X)> equal to the functional value.
 
         L = sum_S beta^|S| I_S (x) Tr_S is the product over slots i of
         (I + beta * Phi_i) with Phi_i(X) = I_i (x) Tr_i X, since the Phi_i act
         on distinct slots and commute.  Applying the factors one slot at a
-        time costs n traces instead of 2^n.
+        time costs n traces instead of 2^n.  ``x`` is (..., side, side); the
+        leading axes are a stack of independent matrices.
         """
         n = self.n
-        t = x.reshape(self.dims + self.dims).copy()
+        lead = x.shape[:-2]
+        k = len(lead)
+        t = x.reshape(lead + self.dims + self.dims).copy()
         for i, d in enumerate(self.dims):
-            tr = np.trace(t, axis1=i, axis2=n + i)
-            diag = np.arange(d)
-            np.moveaxis(t, (i, n + i), (-2, -1))[..., diag, diag] += self.beta * tr[..., None]
-        return t.reshape(self.size, self.size)
-
-
-@dataclass
-class _Point:
-    theta: float
-    u: np.ndarray  # (size, 2), orthonormal columns
-    v: np.ndarray  # (size, 2), orthonormal columns
-
-    def sigmas(self) -> tuple[float, float]:
-        return math.cos(self.theta), math.sin(self.theta)
-
-    def assemble(self) -> np.ndarray:
-        s1, s2 = self.sigmas()
-        return s1 * np.outer(self.u[:, 0], self.v[:, 0].conj()) + s2 * np.outer(
-            self.u[:, 1], self.v[:, 1].conj()
-        )
+            # blocks[a, b] is the slice with row index a and column index b in
+            # slot i; whole-slice adds keep numpy's inner loops long.
+            blocks = np.moveaxis(t, (k + i, k + n + i), (0, 1))
+            tr = blocks[0, 0].copy()
+            for c in range(1, d):
+                tr += blocks[c, c]
+            tr *= self.beta
+            for c in range(d):
+                blocks[c, c] += tr
+        return t.reshape(lead + (self.size, self.size))
 
 
 def minimize_q(cfg: SearchConfig) -> SearchReport:
@@ -163,27 +166,24 @@ def minimize_q(cfg: SearchConfig) -> SearchReport:
 
     Each restart draws Haar frames and a uniform singular angle, then runs
     Armijo-backtracked descent with QR re-orthonormalization, stopping at
-    ``grad_tol`` or ``max_iters``.  The report is deterministic given the
-    config (restart seeds derive from ``cfg.seed``; the merge scans restarts
-    in index order and keeps strict improvements only), except for the
-    recorded wall time.
+    ``grad_tol``, at ``max_iters`` or when ``MAX_BACKTRACKS`` halvings all
+    fail; its record names which.  The report is deterministic given the
+    config (restart seeds derive from ``cfg.seed``; the best restart is the
+    first one with the least value), except for the recorded wall time.
     """
     start = time.perf_counter()
-    form = _QForm(cfg.dims, cfg.beta)
-    child_seeds = [_child_seed(cfg.seed, i) for i in range(cfg.restarts)]
-    results = [_minimize_single(form, cfg, s) for s in child_seeds]
-    records = []
-    best_idx = 0
-    for idx, (value, _point, iters) in enumerate(results):
-        records.append(RestartRecord(seed=child_seeds[idx], final_value=value, iterations=iters))
-        if value < results[best_idx][0]:
-            best_idx = idx
-    best_value, best_point, _ = results[best_idx]
+    seeds = [_child_seed(cfg.seed, i) for i in range(cfg.restarts)]
+    value, theta, frames, iterations, stop = _descend(_QForm(cfg.dims, cfg.beta), cfg, seeds)
+    records = tuple(
+        RestartRecord(seed=s, final_value=float(v), iterations=int(k), stop_reason=STOP_REASONS[c])
+        for s, v, k, c in zip(seeds, value, iterations, stop)
+    )
+    best = int(np.argmin(value))
     return SearchReport(
         config=cfg,
-        best_value=best_value,
-        best_point=_canonical_factors(best_point),
-        per_restart=tuple(records),
+        best_value=float(value[best]),
+        best_point=_canonical_factors(theta[best], frames[best]),
+        per_restart=records,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -199,13 +199,10 @@ def grad_q(rt: RankTwoFactors, d: int, n: int, beta: float) -> TangentGradient:
     n = int(n)
     if rt.dim != d**n:
         raise ShapeError(f"factor length {rt.dim} does not equal {d}^{n}")
-    form = _QForm((d,) * n, beta)
-    point = _Point(
-        theta=math.atan2(rt.sigma2, rt.sigma1),
-        u=np.column_stack([rt.u1, rt.u2]),
-        v=np.column_stack([rt.v1, rt.v2]),
-    )
-    return _tangent_gradient(point, form.lift(point.assemble()))
+    theta = np.array([math.atan2(rt.sigma2, rt.sigma1)])
+    frames = np.array([[np.column_stack([rt.u1, rt.u2]), np.column_stack([rt.v1, rt.v2])]])
+    _, gtheta, gframes, _ = _evaluate(_QForm((d,) * n, beta), theta, frames)
+    return TangentGradient(theta=float(gtheta[0]), u=gframes[0, 0], v=gframes[0, 1])
 
 
 def witness_tensor(beta: float, d: int) -> ComplexMatrix:
@@ -253,10 +250,7 @@ def report_to_json(report: SearchReport) -> dict:
             "u2": _vec_to_pairs(point.u2),
             "v2": _vec_to_pairs(point.v2),
         },
-        "per_restart": [
-            {"seed": r.seed, "final_value": r.final_value, "iterations": r.iterations}
-            for r in report.per_restart
-        ],
+        "per_restart": [asdict(r) for r in report.per_restart],
         "wall_time_s": report.wall_time_s,
     }
 
@@ -273,7 +267,12 @@ def report_from_json(data: dict) -> SearchReport:
         v2=_pairs_to_vec(bp["v2"]),
     )
     records = tuple(
-        RestartRecord(seed=int(r["seed"]), final_value=float(r["final_value"]), iterations=int(r["iterations"]))
+        RestartRecord(
+            seed=int(r["seed"]),
+            final_value=float(r["final_value"]),
+            iterations=int(r["iterations"]),
+            stop_reason=r.get("stop_reason"),
+        )
         for r in data["per_restart"]
     )
     return SearchReport(
@@ -293,84 +292,109 @@ def report_loads(text: str) -> SearchReport:
     return report_from_json(json.loads(text))
 
 
-def _minimize_single(form: _QForm, cfg: SearchConfig, seed: int, history: list | None = None):
-    rng = np.random.default_rng(seed)
-    point = _Point(
-        theta=float(rng.uniform(0.0, math.pi / 2.0)),
-        u=_qf(_complex_normal(rng, (form.size, 2))),
-        v=_qf(_complex_normal(rng, (form.size, 2))),
-    )
-    value, y = form.value_and_lift(point.assemble())
-    if history is not None:
-        history.append(value)
-    step = 1.0
-    iterations = 0
-    for _ in range(cfg.max_iters):
-        grad = _tangent_gradient(point, y)
-        gn2 = grad.norm_sq()
-        if math.sqrt(gn2) <= cfg.grad_tol:
-            break
-        accepted = _armijo_step(form, point, value, grad, gn2, min(1.0, 2.0 * step))
-        if accepted is None:
-            break
-        point, value, y, step = accepted
-        if history is not None:
-            history.append(value)
-        iterations += 1
-    return value, point, iterations
+def _descend(form: _QForm, cfg: SearchConfig, seeds: list[int]):
+    """Armijo descent from one random start per seed.
 
-
-def _armijo_step(form: _QForm, point: _Point, value: float, grad: TangentGradient, gn2: float, t: float):
-    """Backtrack from step ``t`` until the Armijo condition holds.
-
-    Returns the accepted ``(point, value, lift, step)``, whose lift the next
-    gradient reuses, or None when ``MAX_BACKTRACKS`` halvings all fail.
+    Returns per-restart arrays ``(value, theta, frames, iterations, stop)``,
+    ``stop`` indexing ``STOP_REASONS``.  Restarts run in blocks sized by
+    ``LIFT_BLOCK_BYTES``; results do not depend on the blocking.
     """
-    for _ in range(MAX_BACKTRACKS):
-        cand = _retract(point, grad, -t)
-        cand_value, cand_y = form.value_and_lift(cand.assemble())
-        if cand_value <= value - ARMIJO_C * t * gn2:
-            return cand, cand_value, cand_y, t
-        t *= ARMIJO_FACTOR
-    return None
+    block = max(1, LIFT_BLOCK_BYTES // (16 * form.size**2))
+    parts = [_descend_block(form, cfg, seeds[i : i + block]) for i in range(0, len(seeds), block)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _tangent_gradient(point: _Point, y: np.ndarray) -> TangentGradient:
-    """Projected gradient at ``point`` from the lift ``y`` of its matrix."""
-    yh = y.conj().T
-    s1, s2 = point.sigmas()
-    u1, u2 = point.u[:, 0], point.u[:, 1]
-    v1, v2 = point.v[:, 0], point.v[:, 1]
-    # Euclidean gradient under the real inner product Re<.,.>.
-    gu = np.column_stack([2.0 * s1 * (y @ v1), 2.0 * s2 * (y @ v2)])
-    gv = np.column_stack([2.0 * s1 * (yh @ u1), 2.0 * s2 * (yh @ u2)])
-    gtheta = 2.0 * float((-s2 * np.vdot(u1, y @ v1) + s1 * np.vdot(u2, y @ v2)).real)
-    return TangentGradient(
-        theta=gtheta,
-        u=_project_stiefel(point.u, gu),
-        v=_project_stiefel(point.v, gv),
-    )
+def _descend_block(form: _QForm, cfg: SearchConfig, seeds: list[int]):
+    """Advance a stack of restarts together, one Armijo candidate per live row per round.
+
+    Each row keeps its own trial step, backtrack count and stop flag, so it
+    runs exactly the serial algorithm: an accepted candidate becomes the
+    point, hands over the value and gradient evaluated with it and doubles
+    the trial step (at most 1); a rejected one halves it.
+    """
+    size = form.size
+    theta = np.empty(len(seeds))
+    raw = np.empty((len(seeds), 2, size, 2), dtype=np.complex128)
+    for r, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        theta[r] = rng.uniform(0.0, math.pi / 2.0)
+        raw[r, 0] = _complex_normal(rng, (size, 2))
+        raw[r, 1] = _complex_normal(rng, (size, 2))
+    frames = _qf(raw)
+    value, gtheta, gframes, gn2 = _evaluate(form, theta, frames)
+    step = np.ones(len(seeds))
+    iterations = np.zeros(len(seeds), dtype=np.int64)
+    backtracks = np.zeros(len(seeds), dtype=np.int64)
+    stop = np.where(np.sqrt(gn2) <= cfg.grad_tol, _GRAD_TOL, _LIVE)
+    live = np.flatnonzero(stop == _LIVE)
+    while live.size:
+        t = step[live]
+        cand_theta = theta[live] - t * gtheta[live]
+        cand_frames = _qf(frames[live] - t[:, None, None, None] * gframes[live])
+        cand_value, cand_gtheta, cand_gframes, cand_gn2 = _evaluate(form, cand_theta, cand_frames)
+        ok = cand_value <= value[live] - ARMIJO_C * t * gn2[live]
+        acc = live[ok]
+        theta[acc] = cand_theta[ok]
+        frames[acc] = cand_frames[ok]
+        value[acc] = cand_value[ok]
+        gtheta[acc] = cand_gtheta[ok]
+        gframes[acc] = cand_gframes[ok]
+        gn2[acc] = cand_gn2[ok]
+        iterations[acc] += 1
+        backtracks[live] = np.where(ok, 0, backtracks[live] + 1)
+        step[live] = np.where(ok, np.minimum(1.0, 2.0 * t), ARMIJO_FACTOR * t)
+        stop[live] = np.select(
+            [
+                iterations[live] == cfg.max_iters,
+                np.sqrt(gn2[live]) <= cfg.grad_tol,
+                backtracks[live] == MAX_BACKTRACKS,
+            ],
+            [_MAX_ITERS, _GRAD_TOL, _LINE_SEARCH],
+            _LIVE,
+        )
+        live = live[stop[live] == _LIVE]
+    return value, theta, frames, iterations, stop
 
 
-def _retract(point: _Point, direction: TangentGradient, scale: float) -> _Point:
-    return _Point(
-        theta=point.theta + scale * direction.theta,
-        u=_qf(point.u + scale * direction.u),
-        v=_qf(point.v + scale * direction.v),
-    )
+def _evaluate(form: _QForm, theta: np.ndarray, frames: np.ndarray):
+    """Value, projected gradient and its squared norm at stacked points.
+
+    Returns ``(value, gtheta, gframes, gn2)``.
+
+    One lift Y = L(X) per point gives both: the value is
+    Re tr(X^H Y) = sum_k sigma_k Re(U^H Y V)_kk, and the Euclidean gradient
+    under Re<.,.> is 2 Y V diag(sigma) for U and 2 Y^H U diag(sigma) for V.
+    """
+    s = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
+    u, v = frames[:, 0], frames[:, 1]
+    y = form.lift((u * s) @ _adjoint(v))
+    yv = y @ v
+    uhy = _adjoint(u) @ y
+    a = np.diagonal(uhy @ v, axis1=-2, axis2=-1).real
+    s1, s2 = s[:, 0, 0], s[:, 0, 1]
+    value = s1 * a[:, 0] + s2 * a[:, 1]
+    gtheta = 2.0 * (-s2 * a[:, 0] + s1 * a[:, 1])
+    euclid = np.stack([yv, _adjoint(uhy)], axis=1) * (2.0 * s[:, None])
+    gframes = _project_stiefel(frames, euclid)
+    gn2 = gtheta**2 + np.sum(gframes.real**2 + gframes.imag**2, axis=(1, 2, 3))
+    return value, gtheta, gframes, gn2
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def _project_stiefel(frame: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    m = frame.conj().T @ grad
-    return grad - frame @ ((m + m.conj().T) / 2.0)
+    """Tangent projection onto the frames' Stiefel manifolds, over leading axes."""
+    m = _adjoint(frame) @ grad
+    return grad - frame @ ((m + _adjoint(m)) / 2.0)
 
 
-def _canonical_factors(point: _Point) -> RankTwoFactors:
-    s1, s2 = point.sigmas()
+def _canonical_factors(theta: float, frames: np.ndarray) -> RankTwoFactors:
     cols = []
-    for idx, s in enumerate((s1, s2)):
-        u = point.u[:, idx]
-        v = point.v[:, idx]
+    for idx, s in enumerate((float(np.cos(theta)), float(np.sin(theta)))):
+        u = frames[0][:, idx]
+        v = frames[1][:, idx]
         if s < 0:
             s, u = -s, -u
         cols.append((s, u, v))

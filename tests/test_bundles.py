@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distill_lab.bundles import Bundle, read_bundle, write_bundle
 
@@ -55,3 +59,23 @@ def test_rejects_garbage_line(tmp_path):
     path.write_text("distill-lab bundle v1\nkind=x\nwhat is this\n")
     with pytest.raises(ValueError):
         read_bundle(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True), st.integers(-(2**70), 2**70))
+def test_params_round_trip_over_all_doubles(tmp_path_factory, value, count):
+    path = tmp_path_factory.mktemp("params") / "p.bundle"
+    loaded = read_bundle(write_bundle(Bundle(kind="x", params={"x": value, "k": count}), path))
+    got = loaded.params["x"]
+    assert isinstance(got, float)
+    if math.isnan(value):
+        assert math.isnan(got)
+    else:
+        assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+    assert loaded.params["k"] == count and isinstance(loaded.params["k"], int)
+
+
+@pytest.mark.parametrize("name", ["a=b", "a b", "tab\tname", "line\nbreak"])
+def test_rejects_param_names_that_break_the_layout(tmp_path, name):
+    with pytest.raises(ValueError, match="name"):
+        write_bundle(Bundle(kind="x", params={name: 1.0}), tmp_path / "n.bundle")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -195,8 +196,10 @@ class TestIterate:
              "--bundle-dir", str(tmp_path)]
         )
         assert code == 3
-        assert "witness" in capsys.readouterr().out
-        assert list(tmp_path.glob("witness-*.bundle"))
+        out = capsys.readouterr().out
+        files = list(tmp_path.glob("witness-*.bundle"))
+        assert len(files) == 1
+        assert f"witness bundle: {files[0]}" in out
 
     def test_floor_region_exits_zero(self):
         assert run(["iterate", "--d", "3", "--k", "1", "--beta", "-0.25", "--restarts", "6"]) == 0
@@ -204,15 +207,23 @@ class TestIterate:
     def test_oversized_certification_exits_two(self):
         assert run(["iterate", "--d", "3", "--k", "3", "--beta", "-0.25"]) == 2
 
+    def test_huge_k_exits_two_at_once(self, capsys):
+        start = time.perf_counter()
+        assert run(["iterate", "--d", "3", "--k", "24", "--beta", "-0.25"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "needs factor length 3^(2^24) > 256" in capsys.readouterr().err
+
     def test_unmaterialized_side_writes_witness_bundle(self, tmp_path, capsys):
         code = run(
             ["iterate", "--d", "9", "--k", "1", "--beta", "-0.9", "--restarts", "2",
              "--bundle-dir", str(tmp_path)]
         )
         assert code == 3
-        assert "too large to materialize" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "too large to materialize" in out
         files = list(tmp_path.glob("witness-k1-*.bundle"))
         assert len(files) == 1
+        assert f"witness bundle: {files[0]}" in out
         assert read_bundle(files[0]).params["n"] == 2
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,15 +8,17 @@ from hypothesis import strategies as st
 
 from distill_lab.distill import RankTwoFactors, f_bilinear, q_functional
 from distill_lab.errors import DimensionLimitError, ShapeError
-from distill_lab.linalg import ComplexMatrix
+from distill_lab.linalg import ComplexMatrix, _qf
 from distill_lab.optimize import (
+    ARMIJO_C,
+    ARMIJO_FACTOR,
+    MAX_BACKTRACKS,
+    STOP_REASONS,
     SearchConfig,
-    _armijo_step,
-    _minimize_single,
-    _Point,
+    _descend,
+    _evaluate,
+    _project_stiefel,
     _QForm,
-    _retract,
-    _tangent_gradient,
     grad_q,
     minimize_q,
     report_dumps,
@@ -36,8 +39,56 @@ def slot_dims(draw):
 def analytic_optimum_point(d):
     """Balanced two-direction diagonal: the single-copy minimizer."""
     e = np.eye(d, dtype=complex)
-    u = np.column_stack([e[0], e[1]])
-    return _Point(theta=math.pi / 4.0, u=u.copy(), v=u.copy())
+    s = math.sqrt(0.5)
+    return RankTwoFactors(sigma1=s, sigma2=s, u1=e[0], v1=e[0], u2=e[1], v2=e[1])
+
+
+def assemble(theta, u, v):
+    """Matrix cos(theta) u1 v1^H + sin(theta) u2 v2^H of a factored point."""
+    return math.cos(theta) * np.outer(u[:, 0], v[:, 0].conj()) + math.sin(theta) * np.outer(
+        u[:, 1], v[:, 1].conj()
+    )
+
+
+def form_value(form, x):
+    return float(np.vdot(x, form.lift(x)).real)
+
+
+def serial_descent(form, cfg, seed):
+    """One restart of the search written serially on 2-D arrays: the
+    reference for the stacked loop.  Returns (value, iterations, stop_reason)."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, math.pi / 2.0)
+    u = _qf(rng.standard_normal((form.size, 2)) + 1j * rng.standard_normal((form.size, 2)))
+    v = _qf(rng.standard_normal((form.size, 2)) + 1j * rng.standard_normal((form.size, 2)))
+
+    def evaluate(theta, u, v):
+        x = assemble(theta, u, v)
+        y = form.lift(x)
+        s1, s2 = math.cos(theta), math.sin(theta)
+        yv, yhu = y @ v, y.conj().T @ u
+        gtheta = 2.0 * (-s2 * np.vdot(u[:, 0], yv[:, 0]) + s1 * np.vdot(u[:, 1], yv[:, 1])).real
+        gu = _project_stiefel(u, 2.0 * yv * [s1, s2])
+        gv = _project_stiefel(v, 2.0 * yhu * [s1, s2])
+        gn2 = gtheta**2 + np.sum(np.abs(gu) ** 2) + np.sum(np.abs(gv) ** 2)
+        return np.vdot(x, y).real, (gtheta, gu, gv), gn2
+
+    value, grad, gn2 = evaluate(theta, u, v)
+    step = 1.0
+    for iterations in range(cfg.max_iters):
+        if math.sqrt(gn2) <= cfg.grad_tol:
+            return value, iterations, "grad_tol"
+        t = min(1.0, 2.0 * step)
+        for _ in range(MAX_BACKTRACKS):
+            cand = (theta - t * grad[0], _qf(u - t * grad[1]), _qf(v - t * grad[2]))
+            cand_value, cand_grad, cand_gn2 = evaluate(*cand)
+            if cand_value <= value - ARMIJO_C * t * gn2:
+                break
+            t *= ARMIJO_FACTOR
+        else:
+            return value, iterations, "line_search"
+        (theta, u, v), value, grad, gn2, step = cand, cand_value, cand_grad, cand_gn2, t
+    return value, cfg.max_iters, "max_iters"
 
 
 class TestQForm:
@@ -48,7 +99,7 @@ class TestQForm:
             raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             form = _QForm(dims, -0.5)
             public = q_functional(ComplexMatrix(raw, dims, dims), -0.5)
-            assert form.value(raw) == pytest.approx(public, abs=1e-12)
+            assert form_value(form, raw) == pytest.approx(public, abs=1e-12)
 
     def test_lift_is_self_adjoint_pairing(self):
         rng = np.random.default_rng(43)
@@ -61,7 +112,6 @@ class TestQForm:
             lhs = np.vdot(x, form.lift(y))
             rhs = np.vdot(form.lift(x), y)
             assert lhs == pytest.approx(rhs, abs=1e-11)
-            assert np.vdot(x, form.lift(x)).real == pytest.approx(form.value(x), abs=1e-11)
 
     @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
     def test_lift_polarizes_to_public_bilinear(self, dims):
@@ -84,27 +134,51 @@ class TestQForm:
         public = q_functional(ComplexMatrix(x, dims, dims), beta)
         # |value| <= prod(1 + |beta| d_i) for unit x; allow rounding on that scale
         scale = math.prod(1.0 + abs(beta) * d for d in dims)
-        assert _QForm(dims, beta).value(x) == pytest.approx(public, abs=1e-13 * scale)
+        assert form_value(_QForm(dims, beta), x) == pytest.approx(public, abs=1e-13 * scale)
 
     def test_reused_lift_gives_the_fresh_gradient(self):
-        cfg = SearchConfig(d=2, n=3, beta=-0.6)
-        form = _QForm(cfg.dims, cfg.beta)
-        rng = np.random.default_rng(45)
-        point = _Point(
-            theta=0.3,
-            u=np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0],
-            v=np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0],
-        )
-        value, y = form.value_and_lift(point.assemble())
-        for _ in range(5):
-            grad = _tangent_gradient(point, y)
-            point, value, y, _step = _armijo_step(form, point, value, grad, grad.norm_sq(), 1.0)
-            fresh = _tangent_gradient(point, form.lift(point.assemble()))
-            reused = _tangent_gradient(point, y)
-            assert value == form.value(point.assemble())
-            assert reused.theta == fresh.theta
-            assert np.array_equal(reused.u, fresh.u)
-            assert np.array_equal(reused.v, fresh.v)
+        # A restart carries the value and gradient evaluated with its accepted
+        # candidate into the next step.  So each step must be an exact
+        # retraction, by a power of two, along the fresh gradient at the point
+        # the step left.
+        form = _QForm((2, 2, 2), -0.6)
+        seeds = [45, 46, 47]
+        steps = [2.0**-j for j in range(61)]
+        capped = STOP_REASONS.index("max_iters")
+        before = _descend(form, SearchConfig(d=2, n=3, beta=-0.6, max_iters=1), seeds)
+        for k in range(2, 7):
+            after = _descend(form, SearchConfig(d=2, n=3, beta=-0.6, max_iters=k), seeds)
+            value, theta, frames, _, stop = before
+            assert list(stop) == [capped] * len(seeds)
+            for r in range(len(seeds)):
+                fresh_value, gtheta, gframes, _ = _evaluate(form, theta[r : r + 1], frames[r : r + 1])
+                assert fresh_value[0] == value[r]
+                assert any(
+                    theta[r] - t * gtheta[0] == after[1][r]
+                    and np.array_equal(_qf(frames[r] - t * gframes[0]), after[2][r])
+                    for t in steps
+                )
+            before = after
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3, 2)])
+    def test_stacked_evaluation_matches_each_point_alone(self, dims):
+        size = math.prod(dims)
+        form = _QForm(dims, -0.7)
+        rng = np.random.default_rng(46)
+        theta = rng.uniform(0.0, math.pi / 2.0, 5)
+        raw = rng.standard_normal((5, 2, size, 2)) + 1j * rng.standard_normal((5, 2, size, 2))
+        frames = _qf(raw)
+        x = np.stack([assemble(t, f[0], f[1]) for t, f in zip(theta, frames)])
+        lifts = form.lift(x)
+        stacked = _evaluate(form, theta, frames)
+        for r in range(5):
+            assert np.array_equal(lifts[r], form.lift(x[r]))
+            assert np.array_equal(frames[r, 1], _qf(raw[r, 1]))
+            alone = _evaluate(form, theta[r : r + 1], frames[r : r + 1])
+            for whole, single in zip(stacked, alone):
+                assert np.array_equal(whole[r], single[0])
+            public = q_functional(ComplexMatrix(x[r], dims, dims), -0.7)
+            assert stacked[0][r] == pytest.approx(public, abs=1e-12)
 
 
 class TestSearchConfig:
@@ -132,6 +206,9 @@ class TestSearchConfig:
     def test_side_cap(self):
         with pytest.raises(DimensionLimitError):
             SearchConfig(d=4, n=5, beta=-0.5)
+        with pytest.raises(DimensionLimitError, match=r"3\^16777216"):
+            SearchConfig(d=3, n=2**24, beta=-0.5)
+        assert SearchConfig(d=2, n=8, beta=-0.5).side == 256
 
 
 class TestMinimizeQ:
@@ -185,34 +262,72 @@ class TestMinimizeQ:
         recomputed = q_functional(report.best_point.to_matrix((2, 2, 2)), beta)
         assert recomputed == pytest.approx(report.best_value, abs=1e-10)
 
-    def test_monotone_descent_history(self):
-        cfg = SearchConfig(d=2, n=2, beta=-0.5, restarts=1, seed=110)
-        history = []
-        _minimize_single(_QForm(cfg.dims, cfg.beta), cfg, seed=12345, history=history)
-        assert len(history) >= 2
-        assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
+    def test_monotone_descent_in_max_iters(self):
+        # a trajectory does not depend on the cap it runs under, so raising
+        # max_iters can only extend it, and every accepted step descends
+        values = [
+            minimize_q(SearchConfig(d=2, n=2, beta=-0.5, restarts=3, max_iters=k, seed=110))
+            for k in range(1, 41)
+        ]
+        for before, after in zip(values, values[1:]):
+            assert after.best_value <= before.best_value
+            for a, b in zip(before.per_restart, after.per_restart):
+                assert b.final_value <= a.final_value
+        assert values[-1].best_value < values[0].best_value
+
+    @pytest.mark.parametrize(
+        "d,n,beta,max_iters", [(2, 2, -0.4, 60), (3, 2, -0.4, 60), (2, 3, -0.6, 120), (3, 1, -0.6, 12)]
+    )
+    def test_restarts_follow_the_serial_descent(self, d, n, beta, max_iters):
+        # the stacked loop regroups the arithmetic, so values agree to
+        # rounding while every restart takes the same steps and stops alike
+        cfg = SearchConfig(d=d, n=n, beta=beta, restarts=6, max_iters=max_iters, seed=116)
+        form = _QForm(cfg.dims, cfg.beta)
+        for record in minimize_q(cfg).per_restart:
+            value, iterations, stop_reason = serial_descent(form, cfg, record.seed)
+            assert record.final_value == pytest.approx(value, abs=1e-12)
+            assert (record.iterations, record.stop_reason) == (iterations, stop_reason)
 
     def test_restart_record_reproducible_standalone(self):
         cfg = SearchConfig(d=2, n=2, beta=-0.5, restarts=3, seed=111)
         report = minimize_q(cfg)
         record = report.per_restart[1]
-        value, _, iters = _minimize_single(_QForm(cfg.dims, cfg.beta), cfg, seed=record.seed)
-        assert value == record.final_value
-        assert iters == record.iterations
+        value, _, _, iters, stop = _descend(_QForm(cfg.dims, cfg.beta), cfg, [record.seed])
+        assert float(value[0]) == record.final_value
+        assert int(iters[0]) == record.iterations
+        assert STOP_REASONS[stop[0]] == record.stop_reason
+
+    @pytest.mark.parametrize(
+        "d,n,beta,restarts,max_iters",
+        [(2, 2, -0.4, 6, 2000), (3, 2, -0.6, 6, 300), (2, 7, -0.6, 5, 4), (2, 8, -0.25, 3, 2)],
+    )
+    def test_records_do_not_depend_on_the_restart_count(self, d, n, beta, restarts, max_iters):
+        # side 128 stacks 4 restarts per block and side 256 one, so the
+        # larger runs cross block boundaries
+        def records(r):
+            cfg = SearchConfig(d=d, n=n, beta=beta, restarts=r, max_iters=max_iters, seed=114)
+            return minimize_q(cfg).per_restart
+
+        full = records(restarts)
+        for k in (1, 3):
+            assert records(k) == full[:k]
+
+    def test_stop_reasons(self):
+        capped = minimize_q(SearchConfig(d=3, n=2, beta=-0.6, restarts=4, max_iters=3, seed=115))
+        assert {r.stop_reason for r in capped.per_restart} == {"max_iters"}
+        assert {r.iterations for r in capped.per_restart} == {3}
+        flat = minimize_q(SearchConfig(d=2, n=2, beta=0.0, restarts=2, seed=115))
+        assert [(r.stop_reason, r.iterations) for r in flat.per_restart] == [("grad_tol", 0)] * 2
+        # converged restarts stall at rounding level: the gradient test or
+        # the line search ends them, well before the cap
+        done = minimize_q(SearchConfig(d=3, n=1, beta=-0.6, restarts=12, seed=115))
+        assert {r.stop_reason for r in done.per_restart} <= {"grad_tol", "line_search"}
+        assert max(r.iterations for r in done.per_restart) < 2000
 
 
 class TestGradQ:
     def test_zero_at_analytic_optimum(self):
-        point = analytic_optimum_point(3)
-        rt = RankTwoFactors(
-            sigma1=math.cos(point.theta),
-            sigma2=math.sin(point.theta),
-            u1=point.u[:, 0],
-            v1=point.v[:, 0],
-            u2=point.u[:, 1],
-            v2=point.v[:, 1],
-        )
-        assert grad_q(rt, 3, 1, -0.5).norm() < 1e-7
+        assert grad_q(analytic_optimum_point(3), 3, 1, -0.5).norm() < 1e-7
 
     def test_beta_zero_gradient_vanishes(self):
         rng = np.random.default_rng(0)
@@ -229,28 +344,22 @@ class TestGradQ:
         form = _QForm((2,) * n_slots, -0.5)
         for _ in range(10):
             rt = random_rank_two(rng, 2**n_slots)
-            point = _Point(
-                theta=math.atan2(rt.sigma2, rt.sigma1),
-                u=np.column_stack([rt.u1, rt.u2]),
-                v=np.column_stack([rt.v1, rt.v2]),
-            )
+            theta = math.atan2(rt.sigma2, rt.sigma1)
+            u = np.column_stack([rt.u1, rt.u2])
+            v = np.column_stack([rt.v1, rt.v2])
             grad = grad_q(rt, 2, n_slots, -0.5)
             # random tangent direction: project an ambient perturbation
-            from distill_lab.optimize import _project_stiefel
-
-            du = _project_stiefel(
-                point.u, rng.standard_normal(point.u.shape) + 1j * rng.standard_normal(point.u.shape)
-            )
-            dv = _project_stiefel(
-                point.v, rng.standard_normal(point.v.shape) + 1j * rng.standard_normal(point.v.shape)
-            )
+            du = _project_stiefel(u, rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+            dv = _project_stiefel(v, rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
             dtheta = float(rng.standard_normal())
-            from distill_lab.optimize import TangentGradient
-
-            direction = TangentGradient(theta=dtheta, u=du, v=dv)
             eps = 1e-6
-            up = form.value(_retract(point, direction, eps).assemble())
-            down = form.value(_retract(point, direction, -eps).assemble())
+
+            def retracted_value(h):
+                # QR retraction, as the descent steps use
+                return form_value(form, assemble(theta + h * dtheta, _qf(u + h * du), _qf(v + h * dv)))
+
+            up = retracted_value(eps)
+            down = retracted_value(-eps)
             numeric = (up - down) / (2 * eps)
             analytic = float(
                 grad.theta * dtheta
@@ -299,3 +408,13 @@ class TestReportSerialization:
         assert loaded.per_restart == report.per_restart
         assert np.array_equal(loaded.best_point.u1, report.best_point.u1)
         assert np.array_equal(loaded.best_point.v2, report.best_point.v2)
+
+    def test_loads_reports_without_stop_reasons(self):
+        report = minimize_q(SearchConfig(d=2, n=2, beta=-0.6, restarts=2, max_iters=5, seed=112))
+        data = json.loads(report_dumps(report))
+        assert [r["stop_reason"] for r in data["per_restart"]] == ["max_iters"] * 2
+        for r in data["per_restart"]:
+            del r["stop_reason"]
+        loaded = report_loads(json.dumps(data))
+        assert [r.stop_reason for r in loaded.per_restart] == [None, None]
+        assert [r.final_value for r in loaded.per_restart] == [r.final_value for r in report.per_restart]
