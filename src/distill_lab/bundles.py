@@ -38,8 +38,8 @@ class Bundle:
 
 
 def write_bundle(bundle: Bundle, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``bundle`` to ``path``; a name that would break the layout is
+    rejected before anything is written."""
     lines = [MAGIC, f"kind={bundle.kind}"]
     for name, value in bundle.params.items():
         if "=" in name or any(ch.isspace() for ch in name):
@@ -51,6 +51,8 @@ def write_bundle(bundle: Bundle, path) -> Path:
         else:
             lines.append(f"{name}={float(value).hex()}")
     for name, vec in bundle.vectors.items():
+        if not name or any(ch.isspace() for ch in name):
+            raise ValueError(f"bundle vector name {name!r} is empty or contains whitespace")
         arr = np.asarray(vec).reshape(-1)
         if np.iscomplexobj(arr):
             lines.append(f"vector {name} complex {arr.size}")
@@ -58,12 +60,14 @@ def write_bundle(bundle: Bundle, path) -> Path:
         else:
             lines.append(f"vector {name} real {arr.size}")
             lines.extend(f"{float(v).hex()}" for v in arr)
-    path.write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
 def read_bundle(path) -> Bundle:
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"{path} is not a bundle file (bad magic line)")
     if len(lines) < 2 or not lines[1].startswith("kind="):

@@ -51,9 +51,6 @@ def main(argv=None) -> int:
     except DistillLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--grad-tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_minimize)
 
@@ -86,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta-grid", type=str, required=True, help="comma-separated betas in [-1, 0]")
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -96,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("all", "equivalence", "schmidt", "multivar", "iterate", "lemmas", "report"),
         default="all",
     )
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--in", dest="infile", type=Path, default=None, help="report file for --suite report")
     p.add_argument("--bundle-dir", type=Path, default=Path("."))
     p.set_defaults(func=_cmd_verify)
@@ -105,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--beta", type=float, default=-0.5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--bundle-dir", type=Path, default=Path("."))
     p.set_defaults(func=_cmd_hessian)
@@ -115,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of doubling steps")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--bundle-dir", type=Path, default=Path("."))
     p.set_defaults(func=_cmd_iterate)
 
@@ -125,6 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_demo_nonconvexity)
 
     return parser
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _cmd_bound(args) -> int:

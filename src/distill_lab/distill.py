@@ -23,8 +23,8 @@ from .linalg import (
     MultipartiteState,
     SubsystemPermutation,
     _complex_normal,
+    _trace_slot,
     kron,
-    partial_trace,
     permute_subsystems,
 )
 from .states import WernerParams, werner_partial_transpose
@@ -77,9 +77,8 @@ class RankTwoFactors:
     v2: np.ndarray
 
     def __post_init__(self):
-        s1 = float(self.sigma1)
-        s2 = float(self.sigma2)
-        vecs = {}
+        object.__setattr__(self, "sigma1", float(self.sigma1))
+        object.__setattr__(self, "sigma2", float(self.sigma2))
         length = None
         for name in ("u1", "v1", "u2", "v2"):
             vec = np.array(getattr(self, name), dtype=np.complex128, copy=True).reshape(-1)
@@ -88,33 +87,36 @@ class RankTwoFactors:
             elif vec.size != length:
                 raise ShapeError("all four factor vectors must share one length")
             vec.setflags(write=False)
-            vecs[name] = vec
-        if s1 < 0 or s2 < 0:
-            raise ShapeError(f"singular values must be nonnegative, got {s1}, {s2}")
-        if abs(s1 * s1 + s2 * s2 - 1.0) > 1e-12:
-            raise ShapeError(f"sigma1^2 + sigma2^2 must be 1 within 1e-12, got {s1 * s1 + s2 * s2!r}")
-        for name, vec in vecs.items():
-            nrm = float(np.linalg.norm(vec))
-            if abs(nrm - 1.0) > 1e-12:
-                raise ShapeError(f"{name} must be unit norm within 1e-12, got {nrm!r}")
-        if abs(np.vdot(vecs["u1"], vecs["u2"])) > 1e-10:
-            raise ShapeError("u1 and u2 must be orthogonal within 1e-10")
-        if abs(np.vdot(vecs["v1"], vecs["v2"])) > 1e-10:
-            raise ShapeError("v1 and v2 must be orthogonal within 1e-10")
-        object.__setattr__(self, "sigma1", s1)
-        object.__setattr__(self, "sigma2", s2)
-        for name, vec in vecs.items():
             object.__setattr__(self, name, vec)
+        _check_rank_two(*self.stack())
 
     @property
     def dim(self) -> int:
         return self.u1.size
 
+    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factors as a stack of one, shaped as ``random_rank_two_stack`` returns."""
+        return (
+            np.array([[self.sigma1, self.sigma2]]),
+            np.stack([self.u1, self.u2], axis=-1)[None],
+            np.stack([self.v1, self.v2], axis=-1)[None],
+        )
+
+    @staticmethod
+    def from_stack(sigma: np.ndarray, u: np.ndarray, v: np.ndarray, row: int = 0) -> "RankTwoFactors":
+        """Sample ``row`` of a stack shaped as ``random_rank_two_stack`` returns."""
+        return RankTwoFactors(
+            sigma1=sigma[row, 0],
+            sigma2=sigma[row, 1],
+            u1=u[row, :, 0],
+            v1=v[row, :, 0],
+            u2=u[row, :, 1],
+            v2=v[row, :, 1],
+        )
+
     def assemble(self) -> np.ndarray:
         """Dense matrix sigma1*u1 v1^dag + sigma2*u2 v2^dag."""
-        return self.sigma1 * np.outer(self.u1, self.v1.conj()) + self.sigma2 * np.outer(
-            self.u2, self.v2.conj()
-        )
+        return assemble_stack(*self.stack())[0]
 
     def to_matrix(self, dims) -> ComplexMatrix:
         dims = tuple(int(d) for d in dims)
@@ -146,24 +148,15 @@ def random_rank_two(
     """Sample unit-norm rank-<=2 factors.
 
     ``haar-frames``: orthonormal pairs from QR of complex Gaussians plus a
-    uniform singular angle.  ``gaussian``: assemble two raw Gaussian outer
-    products, normalize, and refactor via SVD; this ensemble weights the
-    singular spectrum differently.  Both are offered because no canonical
-    search measure exists for counterexample hunting.
+    uniform singular angle (a stack of one from ``random_rank_two_stack``).
+    ``gaussian``: assemble two raw Gaussian outer products, normalize, and
+    refactor via SVD; this ensemble weights the singular spectrum
+    differently.  Both are offered because no canonical search measure exists
+    for counterexample hunting.
     """
     dim = int(dim)
     if ensemble == "haar-frames":
-        qu = np.linalg.qr(_complex_normal(rng, (dim, 2)))[0]
-        qv = np.linalg.qr(_complex_normal(rng, (dim, 2)))[0]
-        angle = rng.uniform(0.0, math.pi / 2.0)
-        return RankTwoFactors(
-            sigma1=math.cos(angle),
-            sigma2=math.sin(angle),
-            u1=qu[:, 0],
-            v1=qv[:, 0],
-            u2=qu[:, 1],
-            v2=qv[:, 1],
-        )
+        return RankTwoFactors.from_stack(*random_rank_two_stack(rng, dim, 1))
     if ensemble == "gaussian":
         x = np.outer(_complex_normal(rng, (dim,)), _complex_normal(rng, (dim,)).conj())
         x = x + np.outer(_complex_normal(rng, (dim,)), _complex_normal(rng, (dim,)).conj())
@@ -171,21 +164,68 @@ def random_rank_two(
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
+def random_rank_two_stack(rng: np.random.Generator, dim: int, count: int):
+    """``count`` haar-frames samples as arrays ``(sigma, u, v)``.
+
+    ``sigma`` is (count, 2) holding (sigma1, sigma2); ``u`` and ``v`` are
+    (count, dim, 2) holding (u1, u2) and (v1, v2) as columns.  The RNG is
+    consumed exactly as by ``count`` successive ``random_rank_two(rng, dim)``
+    calls and the samples are the same; the QR runs once over the stack, and
+    every sample passes the ``RankTwoFactors`` checks.
+    """
+    dim = int(dim)
+    gauss = np.empty((count, 2, dim, 2), dtype=np.complex128)
+    sigma = np.empty((count, 2))
+    for r in range(count):
+        gauss[r, 0] = _complex_normal(rng, (dim, 2))
+        gauss[r, 1] = _complex_normal(rng, (dim, 2))
+        angle = rng.uniform(0.0, math.pi / 2.0)
+        sigma[r] = math.cos(angle), math.sin(angle)
+    frames = np.linalg.qr(gauss)[0]
+    u, v = frames[:, 0], frames[:, 1]
+    _check_rank_two(sigma, u, v)
+    return sigma, u, v
+
+
+def assemble_stack(sigma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dense (count, dim, dim) matrices of a factor stack shaped as
+    ``random_rank_two_stack`` returns; row r depends only on sample r."""
+    out = u[:, :, None, 0] * v[:, None, :, 0].conj()
+    out *= sigma[:, 0, None, None]
+    two = u[:, :, None, 1] * v[:, None, :, 1].conj()
+    two *= sigma[:, 1, None, None]
+    out += two
+    return out
+
+
 def q_functional(x: ComplexMatrix, beta: float) -> float:
     """Subset sum ``sum_S beta^|S| ||Tr_S(x)||_F^2`` over all 2^N slot subsets.
 
     The empty subset contributes ``||x||_F^2``; the full subset ``|tr x|^2``.
-    Subsets are enumerated in increasing bitmask order, and each multi-slot
-    trace is taken as iterated single-slot partial traces in ascending order.
+    This is ``q_functional_stack`` on a stack of one.
     """
     _require_square_slots(x)
-    n = len(x.row_dims)
+    return float(q_functional_stack(x.data[None], x.row_dims, beta)[0])
+
+
+def q_functional_stack(data: np.ndarray, dims, beta: float) -> np.ndarray:
+    """``q_functional`` of each matrix in a stack ``(R, side, side)``.
+
+    Rows and columns of every matrix factor as ``dims``.  Subsets are
+    enumerated in increasing bitmask order, and each multi-slot trace is taken
+    as iterated single-slot partial traces in ascending order: 2^N - 1
+    single-slot traces in all.  Row r of the result depends only on
+    ``data[r]``.
+    """
+    dims = tuple(int(d) for d in dims)
+    data = np.ascontiguousarray(data, dtype=np.complex128)
+    side = math.prod(dims)
+    if data.ndim != 3 or data.shape[1:] != (side, side):
+        raise ShapeError(f"expected a stack of shape (R, {side}, {side}), got {data.shape}")
     beta = float(beta)
-    total = 0.0
-    for mask in range(1 << n):
-        sub = SubsystemSet(mask, n)
-        traced = _trace_slots(x, sub.slots())
-        total += beta**sub.size * float(np.vdot(traced.data, traced.data).real)
+    total = np.zeros(data.shape[0])
+    for size, traced in _subset_traces(data, dims):
+        total += beta**size * _real_inner(traced, traced)
     return total
 
 
@@ -214,14 +254,12 @@ def f_bilinear(x: ComplexMatrix, y: ComplexMatrix, beta: float) -> complex:
     _require_square_slots(y)
     if x.row_dims != y.row_dims:
         raise ShapeError(f"operands carry different slot dims: {x.row_dims} vs {y.row_dims}")
-    n = len(x.row_dims)
     beta = float(beta)
     total = 0.0 + 0.0j
-    for mask in range(1 << n):
-        sub = SubsystemSet(mask, n)
-        tx = _trace_slots(x, sub.slots())
-        ty = _trace_slots(y, sub.slots())
-        total += beta**sub.size * np.vdot(tx.data, ty.data)
+    for size, traced in _subset_traces(np.stack([x.data, y.data]), x.row_dims):
+        tx, ty = traced[:1], traced[1:]
+        imag = np.sum(tx.real * ty.imag - tx.imag * ty.real)
+        total += beta**size * complex(_real_inner(tx, ty)[0], imag)
     return complex(total)
 
 
@@ -348,14 +386,53 @@ def _require_square_slots(x: ComplexMatrix):
         raise ShapeError(
             f"expected row_dims == col_dims, got {x.row_dims} vs {x.col_dims}"
         )
-    if len(x.row_dims) > MAX_SUBSET_SLOTS:
+
+
+def _check_rank_two(sigma: np.ndarray, u: np.ndarray, v: np.ndarray):
+    """Raise ShapeError unless every sample of a stack is a unit-norm
+    rank-<=2 factorization; shapes as in ``random_rank_two_stack``.  NaN
+    fails every check."""
+    if not np.all(sigma >= 0):
+        raise ShapeError(f"singular values must be nonnegative, got minimum {float(np.min(sigma))!r}")
+    dev = np.abs(sigma[:, 0] * sigma[:, 0] + sigma[:, 1] * sigma[:, 1] - 1.0)
+    if not np.all(dev <= 1e-12):
+        raise ShapeError(f"sigma1^2 + sigma2^2 must be 1 within 1e-12, off by {float(np.max(dev))!r}")
+    for name, frame in (("u", u), ("v", v)):
+        dev = np.abs(np.linalg.norm(frame, axis=1) - 1.0)
+        if not np.all(dev <= 1e-12):
+            raise ShapeError(f"{name}1 and {name}2 must be unit norm within 1e-12, off by {float(np.max(dev))!r}")
+        overlap = np.abs(np.sum(frame[:, :, 0].conj() * frame[:, :, 1], axis=1))
+        if not np.all(overlap <= 1e-10):
+            raise ShapeError(f"{name}1 and {name}2 must be orthogonal within 1e-10")
+
+
+def _subset_traces(data: np.ndarray, dims: tuple[int, ...]):
+    """Yield ``(|S|, Tr_S data)`` over slot subsets S in increasing mask order.
+
+    ``data`` is a stack (R, side, side).  Tr_S is one single-slot trace of
+    Tr_P, where P is S without its highest slot and so an earlier mask.
+    """
+    if len(dims) > MAX_SUBSET_SLOTS:
         raise DimensionLimitError(
-            f"{len(x.row_dims)} slots exceed the subset-enumeration cap {MAX_SUBSET_SLOTS}"
+            f"{len(dims)} slots exceed the subset-enumeration cap {MAX_SUBSET_SLOTS}"
         )
+    traces = [(data, dims)]
+    yield 0, data
+    for mask in range(1, 1 << len(dims)):
+        high = mask.bit_length() - 1
+        parent = mask ^ (1 << high)
+        parent_data, parent_dims = traces[parent]
+        # every slot traced out of the parent lies below ``high``
+        traces.append(_trace_slot(parent_data, parent_dims, high - parent.bit_count()))
+        yield mask.bit_count(), traces[mask][0]
 
 
-def _trace_slots(x: ComplexMatrix, slots: tuple[int, ...]) -> ComplexMatrix:
-    out = x
-    for removed, slot in enumerate(sorted(slots)):
-        out = partial_trace(out, [slot - removed])
-    return out
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re <a[r], b[r]>`` for each matrix of two equal-shape stacks.
+
+    A reduction along each contiguous row keeps every row's sum independent
+    of the stack; ``einsum`` buffers long rows and is not.
+    """
+    fa = np.ascontiguousarray(a).reshape(len(a), -1).view(np.float64)
+    fb = np.ascontiguousarray(b).reshape(len(b), -1).view(np.float64)
+    return np.sum(fa * fb, axis=1)

@@ -9,7 +9,6 @@ therefore refers to row multi-index ``(i // 3, i % 3)``.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -168,7 +167,8 @@ def partial_trace(m: ComplexMatrix, subsystems: Iterable[int]) -> ComplexMatrix:
     """Trace out the listed subsystem slots of a square-composite matrix.
 
     The full trace is preserved: ``trace(out) == trace(m)``.  Tracing every
-    slot yields a 1x1 matrix holding the scalar trace.
+    slot yields a 1x1 matrix holding the scalar trace.  Several slots are
+    traced as iterated single-slot traces in ascending slot order.
     """
     if not m.is_square_composite():
         raise ShapeError(
@@ -181,20 +181,29 @@ def partial_trace(m: ComplexMatrix, subsystems: Iterable[int]) -> ComplexMatrix:
             raise ShapeError(f"subsystem index {s} out of range for {n} slots")
     if not slots:
         return m
-    letters = string.ascii_letters
-    if 2 * n > len(letters):
-        raise ShapeError(f"too many subsystems for einsum labels: {n}")
-    row_labels = list(letters[:n])
-    col_labels = list(letters[n : 2 * n])
-    for s in slots:
-        col_labels[s] = row_labels[s]
-    kept = [i for i in range(n) if i not in slots]
-    spec = "".join(row_labels) + "".join(col_labels)
-    out = "".join(row_labels[i] for i in kept) + "".join(col_labels[i] for i in kept)
-    traced = np.einsum(f"{spec}->{out}", m.as_tensor())
-    kept_dims = tuple(m.row_dims[i] for i in kept)
-    size = math.prod(kept_dims)
-    return ComplexMatrix(traced.reshape(size, size), kept_dims, kept_dims)
+    data, dims = m.data, m.row_dims
+    for removed, s in enumerate(slots):
+        data, dims = _trace_slot(data, dims, s - removed)
+    return ComplexMatrix(data, dims, dims)
+
+
+def _trace_slot(a: np.ndarray, dims: tuple[int, ...], slot: int):
+    """Trace one slot of a stack of square-composite matrices.
+
+    ``a`` is (..., side, side) with rows and columns both factoring as
+    ``dims``; returns the traced stack and ``dims`` without ``slot``.  The
+    diagonal blocks are added one after another, so each matrix's result does
+    not depend on the others in the stack.
+    """
+    pre = math.prod(dims[:slot])
+    d = dims[slot]
+    post = math.prod(dims[slot + 1 :])
+    lead = a.shape[:-2]
+    t = a.reshape(lead + (pre, d, post, pre, d, post))
+    out = t[..., 0, :, :, 0, :].copy()
+    for c in range(1, d):
+        out += t[..., c, :, :, c, :]
+    return out.reshape(lead + (pre * post, pre * post)), dims[:slot] + dims[slot + 1 :]
 
 
 def partial_transpose(m: ComplexMatrix, subsystem: int) -> ComplexMatrix:

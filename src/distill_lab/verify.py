@@ -16,12 +16,16 @@ import numpy as np
 
 from .bundles import Bundle, write_bundle
 from .distill import (
+    RankTwoFactors,
+    assemble_stack,
     check_rank2_inequality,
     f_bilinear,
     merge_operator,
     pqr,
     q_functional,
+    q_functional_stack,
     random_rank_two,
+    random_rank_two_stack,
     sandwich_evaluator,
 )
 from .iterate import certify_iterate, e_step, initial_iterate, iterate_partial_transpose
@@ -37,7 +41,7 @@ from .multivar import (
     _h1,
     _h2,
 )
-from .optimize import DEFAULT_SEED, SearchConfig, minimize_q
+from .optimize import DEFAULT_SEED, LIFT_BLOCK_BYTES, SearchConfig, minimize_q
 from .schmidt import max_overlap_oracle, max_overlap_sr_k, random_state, schmidt_decompose
 from .states import WernerParams, beta_bound, max_entangled_state
 
@@ -427,11 +431,13 @@ def _check_copy_floor(seed, bundle_dir):
                 continue
             dims = (d,) * n
             for beta in (floor_beta, floor_beta + 0.1, 0.0):
-                for _ in range(1500):
-                    rt = random_rank_two(rng, d**n)
-                    val = q_functional(rt.to_matrix(dims), beta)
-                    if val < -1e-9:
+                for count in _sample_blocks(1500, d**n):
+                    stack = random_rank_two_stack(rng, d**n, count)
+                    values = q_functional_stack(assemble_stack(*stack), dims, beta)
+                    for row in np.flatnonzero(values < -1e-9):
                         ok = False
+                        rt = RankTwoFactors.from_stack(*stack, row)
+                        val = float(values[row])
                         path = None
                         if bundle_dir is not None:
                             bundle = Bundle(
@@ -462,17 +468,31 @@ def _check_rank_one_positivity(seed, bundle_dir):
                 continue
             dims = (d,) * n
             size = d**n
-            for _ in range(3400):
-                u = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                u /= np.linalg.norm(u)
-                v /= np.linalg.norm(v)
-                x = ComplexMatrix(np.outer(u, v.conj()), dims, dims)
-                val = q_functional(x, -0.5)
-                if val < -1e-9:
+            for count in _sample_blocks(3400, size):
+                u = np.empty((count, size), dtype=np.complex128)
+                v = np.empty((count, size), dtype=np.complex128)
+                for row in range(count):
+                    u[row] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                    v[row] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                    u[row] /= np.linalg.norm(u[row])
+                    v[row] /= np.linalg.norm(v[row])
+                values = q_functional_stack(u[:, :, None] * v.conj()[:, None, :], dims, -0.5)
+                for val in values[values < -1e-9]:
                     ok = False
                     detail = f"rank-one value {val:.3e} below floor at d={d} n={n}"
     return ok, detail
+
+
+def _sample_blocks(samples: int, side: int):
+    """Block sizes covering ``samples`` matrices of ``side``.
+
+    A block's working set is about four stacks of its matrices (the stack,
+    a temporary of assembling it, one of the squared norms, and the factors
+    with their QR work at small sides); it stays under ``LIFT_BLOCK_BYTES``.
+    """
+    block = max(1, LIFT_BLOCK_BYTES // (4 * 16 * side * side))
+    for start in range(0, samples, block):
+        yield min(block, samples - start)
 
 
 def _check_rank_two_discriminant_sampling(seed, bundle_dir):

@@ -79,3 +79,27 @@ def test_params_round_trip_over_all_doubles(tmp_path_factory, value, count):
 def test_rejects_param_names_that_break_the_layout(tmp_path, name):
     with pytest.raises(ValueError, match="name"):
         write_bundle(Bundle(kind="x", params={name: 1.0}), tmp_path / "n.bundle")
+
+
+@pytest.mark.parametrize("name", ["", "a b", "tab\tname", "line\nbreak"])
+def test_rejects_vector_names_that_break_the_layout(tmp_path, name):
+    path = tmp_path / "sub" / "v.bundle"
+    with pytest.raises(ValueError, match="name"):
+        write_bundle(Bundle(kind="x", vectors={name: [1.0]}), path)
+    assert not (tmp_path / "sub").exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.text(min_size=1).filter(lambda s: not any(ch.isspace() for ch in s)),
+        st.lists(st.floats(allow_nan=False), min_size=0, max_size=3),
+        max_size=4,
+    )
+)
+def test_vectors_round_trip_over_valid_names(tmp_path_factory, vectors):
+    path = tmp_path_factory.mktemp("vectors") / "v.bundle"
+    loaded = read_bundle(write_bundle(Bundle(kind="x", vectors=vectors), path))
+    assert list(loaded.vectors) == list(vectors)
+    for name, values in vectors.items():
+        assert loaded.vectors[name].tolist() == values

@@ -11,6 +11,32 @@ def run(argv):
     return cli.main(argv)
 
 
+SEEDED = {
+    "minimize": ["minimize", "--d", "2", "--n", "1", "--beta", "-0.3"],
+    "sweep": ["sweep", "--d", "2", "--n", "1", "--beta-grid=-0.5"],
+    "verify": ["verify", "--suite", "equivalence"],
+    "hessian": ["hessian", "--d", "2", "--samples", "1"],
+    "iterate": ["iterate", "--d", "2", "--k", "0", "--beta", "-0.3"],
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_seed_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(SEEDED[command] + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(cfg):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "minimize_q", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run(SEEDED["minimize"])
+
+
 class TestBound:
     def test_table_and_exit_code(self, tmp_path, capsys):
         out = tmp_path / "bound.csv"

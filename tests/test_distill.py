@@ -7,24 +7,36 @@ from distill_lab.bundles import read_bundle
 from distill_lab.distill import (
     RankTwoFactors,
     SubsystemSet,
+    assemble_stack,
     check_rank2_inequality,
     f_bilinear,
     m_n_permutation,
     pqr,
     q_functional,
+    q_functional_stack,
     q_functional_unnormalized,
     random_rank_two,
+    random_rank_two_stack,
     sandwich_evaluator,
 )
 from distill_lab.errors import DimensionLimitError, ShapeError
 from distill_lab.linalg import ComplexMatrix, MultipartiteState, partial_trace
 from distill_lab.states import WernerParams, max_entangled_state
-from distill_lab.verify import rank2_slack_sampling
+from distill_lab.verify import _sample_blocks, rank2_slack_sampling
 
 
 def unit_matrix(arr, dims):
     arr = np.asarray(arr, dtype=complex)
     return ComplexMatrix(arr / np.linalg.norm(arr), dims, dims)
+
+
+def reference_haar_frames(rng, dim):
+    """One haar-frames draw with its own QR per frame: the reference for the
+    block sampler.  Returns (sigma1, sigma2, U, V) with the pairs as columns."""
+    qu = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))[0]
+    qv = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))[0]
+    angle = rng.uniform(0.0, math.pi / 2.0)
+    return math.cos(angle), math.sin(angle), qu, qv
 
 
 def balanced_rank_two(d):
@@ -58,6 +70,8 @@ class TestRankTwoFactors:
             RankTwoFactors(1 / math.sqrt(2), 1 / math.sqrt(2), e0, e0, e0, e1)  # orthogonality
         with pytest.raises(ShapeError):
             RankTwoFactors(1 / math.sqrt(2), 1 / math.sqrt(2), 2 * e0, e0, e1, e1)  # unit norm
+        with pytest.raises(ShapeError):
+            RankTwoFactors(math.nan, 0.0, e0, e0, e1, e1)
 
     def test_from_matrix_round_trip(self):
         rng = np.random.default_rng(0)
@@ -116,15 +130,81 @@ class TestQFunctional:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+class TestQFunctionalStack:
+    @pytest.mark.parametrize("count", [1, 7])
+    @pytest.mark.parametrize("dims", [(2,), (3, 3), (2, 3, 2), (2,) * 7])
+    def test_rows_equal_single_evaluation_bitwise(self, dims, count):
+        rng = np.random.default_rng(len(dims) * 10 + count)
+        side = math.prod(dims)
+        raw = rng.standard_normal((count, side, side)) + 1j * rng.standard_normal((count, side, side))
+        values = q_functional_stack(raw, dims, -0.35)
+        assert values.shape == (count,)
+        for row, value in zip(raw, values):
+            assert value == q_functional(ComplexMatrix(row, dims, dims), -0.35)
+
+    def test_blocks_crossing_a_boundary_match_single_draws(self):
+        # 22 matrices of side 27 fit one block, so 30 samples take two
+        dims = (3, 3, 3)
+        blocks = list(_sample_blocks(30, 27))
+        assert blocks == [22, 8]
+        block_rng = np.random.default_rng(8)
+        single_rng = np.random.default_rng(8)
+        for count in blocks:
+            stack = random_rank_two_stack(block_rng, 27, count)
+            for value in q_functional_stack(assemble_stack(*stack), dims, -0.3):
+                assert value == q_functional(random_rank_two(single_rng, 27).to_matrix(dims), -0.3)
+
+    def test_matches_per_subset_reference(self):
+        rng = np.random.default_rng(9)
+        for dims in ((2,), (3, 2), (2, 2, 3)):
+            side = math.prod(dims)
+            raw = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            x = ComplexMatrix(raw, dims, dims)
+            for beta in (-0.5, 0.3):
+                expect = 0.0
+                for mask in range(1 << len(dims)):
+                    sub = SubsystemSet(mask, len(dims))
+                    traced = partial_trace(x, sub.slots()).data
+                    expect += beta**sub.size * float(np.vdot(traced, traced).real)
+                assert q_functional(x, beta) == pytest.approx(expect, rel=1e-13)
+
+    def test_shape_validation(self):
+        with pytest.raises(ShapeError):
+            q_functional_stack(np.zeros((4, 4)), (2, 2), -0.5)
+        with pytest.raises(ShapeError):
+            q_functional_stack(np.zeros((1, 4, 4)), (2,), -0.5)
+        with pytest.raises(DimensionLimitError):
+            q_functional_stack(np.ones((1, 1, 1)), (1,) * 13, -0.5)
+
+
+class TestRandomRankTwoStack:
+    @pytest.mark.parametrize("dim", [4, 9, 27])
+    def test_block_reproduces_successive_draws_bitwise(self, dim):
+        block_rng, single_rng, reference_rng = (np.random.default_rng(21) for _ in range(3))
+        stack = random_rank_two_stack(block_rng, dim, 12)
+        matrices = assemble_stack(*stack)
+        for row in range(12):
+            s1, s2, qu, qv = reference_haar_frames(reference_rng, dim)
+            expect = s1 * np.outer(qu[:, 0], qv[:, 0].conj()) + s2 * np.outer(qu[:, 1], qv[:, 1].conj())
+            for rt in (random_rank_two(single_rng, dim), RankTwoFactors.from_stack(*stack, row)):
+                assert (rt.sigma1, rt.sigma2) == (s1, s2)
+                assert np.array_equal(np.stack([rt.u1, rt.u2], axis=-1), qu)
+                assert np.array_equal(np.stack([rt.v1, rt.v2], axis=-1), qv)
+                assert np.array_equal(rt.assemble(), expect)
+            assert np.array_equal(matrices[row], expect)
+        assert block_rng.random() == single_rng.random() == reference_rng.random()
+
+
 class TestFBilinear:
     def test_definitional_identity(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            x = unit_matrix(raw, (2, 2))
-            val = f_bilinear(x, x, -0.5)
-            assert abs(val.imag) < 1e-12
-            assert val.real == pytest.approx(q_functional(x, -0.5), abs=1e-12)
+        for dims in ((2, 2), (3,), (2, 3, 2)):
+            side = math.prod(dims)
+            for _ in range(20):
+                raw = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+                x = unit_matrix(raw, dims)
+                for beta in (-0.5, 0.3):
+                    assert f_bilinear(x, x, beta) == q_functional(x, beta)
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(4)

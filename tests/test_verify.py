@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 
+from distill_lab import verify
+from distill_lab.bundles import read_bundle
+from distill_lab.distill import RankTwoFactors, q_functional
 from distill_lab.verify import SUITES, run_suite
 
 
@@ -19,3 +23,36 @@ def test_all_runs_every_suite(tmp_path):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_copy_floor_violation_writes_a_bundle_that_reads_back(tmp_path, monkeypatch):
+    writes = []
+    real_write = verify.write_bundle
+
+    def recording_write(bundle, path):
+        writes.append((path, bundle))
+        return real_write(bundle, path)
+
+    # a floor below the root bound, where the subset sum goes negative
+    monkeypatch.setattr(verify, "beta_bound", lambda n: -0.75)
+    monkeypatch.setattr(verify, "write_bundle", recording_write)
+    ok, detail = verify._check_copy_floor(0xD157, tmp_path)
+    assert not ok
+    assert writes
+    assert detail.startswith("floor violated: q=")
+    assert detail.endswith(f"(bundle: {writes[-1][0]})")
+    for path, bundle in dict(writes).items():  # the last bundle written to each path
+        p = bundle.params
+        assert path == tmp_path / f"floor-{p['d']}-{p['n']}.bundle"
+        assert p["value"] < -1e-9
+        loaded = read_bundle(path)
+        assert loaded.kind == bundle.kind == "copy-floor-violation"
+        assert loaded.params == p
+        assert set(loaded.vectors) == set(bundle.vectors)
+        for name, vec in bundle.vectors.items():
+            assert np.array_equal(loaded.vectors[name], vec)
+        rt = RankTwoFactors(
+            p["sigma1"], p["sigma2"],
+            loaded.vectors["u1"], loaded.vectors["v1"], loaded.vectors["u2"], loaded.vectors["v2"],
+        )
+        assert abs(q_functional(rt.to_matrix((p["d"],) * p["n"]), p["beta"]) - p["value"]) <= 1e-12
