@@ -124,44 +124,12 @@ class RankTwoFactors:
             raise ShapeError(f"dims {dims} do not multiply to vector length {self.dim}")
         return ComplexMatrix(self.assemble(), dims, dims)
 
-    @staticmethod
-    def from_matrix(x: np.ndarray) -> "RankTwoFactors":
-        """Canonical factors of a unit-Frobenius rank-<=2 matrix via SVD."""
-        u, s, vh = np.linalg.svd(np.asarray(x, dtype=np.complex128))
-        if s.size > 2 and s[2] > 1e-10 * s[0]:
-            raise ShapeError(f"matrix rank exceeds 2 (third singular value {s[2]:.3e})")
-        if s.size < 2:
-            raise ShapeError("matrix must be at least 2x2")
-        return RankTwoFactors(
-            sigma1=float(s[0]),
-            sigma2=float(s[1]),
-            u1=u[:, 0],
-            v1=vh[0].conj(),
-            u2=u[:, 1],
-            v2=vh[1].conj(),
-        )
 
-
-def random_rank_two(
-    rng: np.random.Generator, dim: int, ensemble: str = "haar-frames"
-) -> RankTwoFactors:
-    """Sample unit-norm rank-<=2 factors.
-
-    ``haar-frames``: orthonormal pairs from QR of complex Gaussians plus a
-    uniform singular angle (a stack of one from ``random_rank_two_stack``).
-    ``gaussian``: assemble two raw Gaussian outer products, normalize, and
-    refactor via SVD; this ensemble weights the singular spectrum
-    differently.  Both are offered because no canonical search measure exists
-    for counterexample hunting.
-    """
-    dim = int(dim)
-    if ensemble == "haar-frames":
-        return RankTwoFactors.from_stack(*random_rank_two_stack(rng, dim, 1))
-    if ensemble == "gaussian":
-        x = np.outer(_complex_normal(rng, (dim,)), _complex_normal(rng, (dim,)).conj())
-        x = x + np.outer(_complex_normal(rng, (dim,)), _complex_normal(rng, (dim,)).conj())
-        return RankTwoFactors.from_matrix(x / np.linalg.norm(x))
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+def random_rank_two(rng: np.random.Generator, dim: int) -> RankTwoFactors:
+    """Sample unit-norm rank-<=2 factors: orthonormal pairs from QR of complex
+    Gaussians plus a uniform singular angle (a stack of one from
+    ``random_rank_two_stack``)."""
+    return RankTwoFactors.from_stack(*random_rank_two_stack(rng, dim, 1))
 
 
 def random_rank_two_stack(rng: np.random.Generator, dim: int, count: int):
@@ -344,29 +312,24 @@ def m_n_permutation(n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def merge_operator(params: WernerParams, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> ComplexMatrix:
+def merge_operator(params: WernerParams, n: int) -> ComplexMatrix:
     """The n-fold partial-transposed Werner tensor power, conjugated by the
     copy-merging permutation so A slots precede B slots."""
     n = int(n)
     d = params.d
-    if d ** (2 * n) > dim_cap:
+    if d ** (2 * n) > DEFAULT_DIM_CAP:
         raise DimensionLimitError(
-            f"operator side {d ** (2 * n)} exceeds per-side cap {dim_cap}"
+            f"operator side {d ** (2 * n)} exceeds per-side cap {DEFAULT_DIM_CAP}"
         )
     single = werner_partial_transpose(params)
     op = single
     for _ in range(n - 1):
-        op = kron(op, single, dim_cap=dim_cap)
+        op = kron(op, single)
     perm = SubsystemPermutation(m_n_permutation(n), (d,) * (2 * n))
     return permute_subsystems(op, perm)
 
 
-def sandwich_evaluator(
-    psi: MultipartiteState,
-    params: WernerParams,
-    n: int,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> float:
+def sandwich_evaluator(psi: MultipartiteState, params: WernerParams, n: int) -> float:
     """Quadratic form of the merged Werner tensor power on a 2n-part state.
 
     For a state whose coefficient matrix is X this equals
@@ -376,7 +339,7 @@ def sandwich_evaluator(
     d = params.d
     if psi.dims != (d,) * (2 * n):
         raise ShapeError(f"state dims {psi.dims} do not match {2 * n} slots of dim {d}")
-    op = merge_operator(params, n, dim_cap=dim_cap)
+    op = merge_operator(params, n)
     vec = psi.amplitudes
     return float(np.vdot(vec, op.data @ vec).real)
 

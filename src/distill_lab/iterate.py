@@ -74,7 +74,7 @@ def initial_iterate(params: WernerParams) -> IterateState:
     return IterateState(k=0, matrix=werner_state(params), local_dim=params.d)
 
 
-def e_step(s: IterateState, dim_cap: int = DEFAULT_DIM_CAP) -> IterateState:
+def e_step(s: IterateState) -> IterateState:
     """One doubling step: exchange-conjugated self-tensoring.
 
     Trace, Hermiticity, and positivity survive (the relabeling is unitary),
@@ -84,11 +84,11 @@ def e_step(s: IterateState, dim_cap: int = DEFAULT_DIM_CAP) -> IterateState:
     """
     d = s.local_dim
     new_local = d * d
-    if new_local * new_local > dim_cap:
+    if new_local * new_local > DEFAULT_DIM_CAP:
         raise DimensionLimitError(
-            f"step would produce side {new_local * new_local}, exceeding cap {dim_cap}"
+            f"step would produce side {new_local * new_local}, exceeding cap {DEFAULT_DIM_CAP}"
         )
-    doubled = kron(s.matrix, s.matrix, dim_cap=dim_cap)
+    doubled = kron(s.matrix, s.matrix)
     perm = SubsystemPermutation(EXCHANGE_PERM, (d, d, d, d))
     exchanged = permute_subsystems(doubled, perm)
     merged = ComplexMatrix(exchanged.data, (new_local, new_local), (new_local, new_local))

@@ -79,17 +79,6 @@ class ComplexMatrix:
         return self.data.reshape(self.row_dims + self.col_dims)
 
     @staticmethod
-    def from_array(arr, row_dims=None, col_dims=None) -> "ComplexMatrix":
-        a = np.asarray(arr)
-        if a.ndim != 2:
-            raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
-        if row_dims is None:
-            row_dims = (a.shape[0],)
-        if col_dims is None:
-            col_dims = (a.shape[1],)
-        return ComplexMatrix(a, tuple(row_dims), tuple(col_dims))
-
-    @staticmethod
     def identity(dims: Iterable[int]) -> "ComplexMatrix":
         dims = _as_dims(dims)
         n = math.prod(dims)
@@ -150,13 +139,13 @@ class SubsystemPermutation:
         return tuple(self.dims[a] for a in inv)
 
 
-def kron(a: ComplexMatrix, b: ComplexMatrix, dim_cap: int = DEFAULT_DIM_CAP) -> ComplexMatrix:
+def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; dim lists concatenate (left operand most significant)."""
     rows = a.rows * b.rows
     cols = a.cols * b.cols
-    if rows > dim_cap or cols > dim_cap:
+    if rows > DEFAULT_DIM_CAP or cols > DEFAULT_DIM_CAP:
         raise DimensionLimitError(
-            f"kron result {rows}x{cols} exceeds per-side cap {dim_cap}"
+            f"kron result {rows}x{cols} exceeds per-side cap {DEFAULT_DIM_CAP}"
         )
     return ComplexMatrix(
         np.kron(a.data, b.data), a.row_dims + b.row_dims, a.col_dims + b.col_dims
@@ -279,13 +268,13 @@ def svd(m: ComplexMatrix):
     return s, u, vh.conj().T
 
 
-def min_eigenvalue_hermitian(m: ComplexMatrix, tol: float = HERMITICITY_TOL) -> float:
+def min_eigenvalue_hermitian(m: ComplexMatrix) -> float:
     """Smallest eigenvalue of a Hermitian matrix; rejects non-Hermitian input."""
     dev = float(np.max(np.abs(m.data - m.data.conj().T))) if m.rows else 0.0
     scale = max(1.0, float(np.max(np.abs(m.data))) if m.data.size else 0.0)
-    if m.rows != m.cols or dev > tol * scale:
+    if m.rows != m.cols or dev > HERMITICITY_TOL * scale:
         raise SymmetryError(
-            f"matrix is not Hermitian within {tol} (max deviation {dev:.3e})"
+            f"matrix is not Hermitian within {HERMITICITY_TOL} (max deviation {dev:.3e})"
         )
     return float(np.linalg.eigvalsh(m.data)[0])
 

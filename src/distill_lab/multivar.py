@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
-from .linalg import _child_seed
+from .errors import DimensionLimitError, ShapeError
+from .linalg import DEFAULT_DIM_CAP, _child_seed
 from .states import WernerParams
 
 DEFAULT_BETA = -0.5
@@ -66,10 +66,10 @@ class RankOnePoint:
     def d(self) -> int:
         return self._d
 
-    def is_critical(self, tol: float = CRITICAL_POINT_TOL) -> bool:
+    def is_critical(self) -> bool:
         return (
-            float(np.max(np.abs(self.w - self.y))) <= tol
-            and float(np.max(np.abs(self.x - self.z))) <= tol
+            float(np.max(np.abs(self.w - self.y))) <= CRITICAL_POINT_TOL
+            and float(np.max(np.abs(self.x - self.z))) <= CRITICAL_POINT_TOL
         )
 
 
@@ -150,6 +150,8 @@ def nonconvexity_demo(d: int, beta: float = DEFAULT_BETA) -> tuple[np.ndarray, f
     d = int(d)
     if d < 3:
         raise ShapeError(f"demo pattern requires d >= 3, got {d}")
+    if d * d > DEFAULT_DIM_CAP:
+        raise DimensionLimitError(f"demo vector length {d * d} exceeds cap {DEFAULT_DIM_CAP}")
     beta = WernerParams(d, beta).beta
     n = d * d
     e0 = np.zeros(n)
@@ -179,14 +181,13 @@ def hessian_spectrum_sweep(
     samples: int,
     seed: int,
     beta: float = DEFAULT_BETA,
-    counterexample_threshold: float = HESSIAN_FINDING_THRESHOLD,
     bundle_dir: "Path | str | None" = None,
 ) -> list[SweepRow]:
     """Sample random critical points and record the Hessian's least eigenvalue.
 
     Draws normalized Gaussian parameter pairs (y, z), assembles the analytic
     Hessian at C = D0, and reports the minimum eigenvalue per sample.  Any
-    value below ``counterexample_threshold`` is written out as a reproduction
+    value below ``HESSIAN_FINDING_THRESHOLD`` is written out as a reproduction
     bundle when ``bundle_dir`` is given; the sweep itself always completes —
     a finding is data, not an error.  Per-sample seeds derive from ``seed``.
     """
@@ -207,7 +208,7 @@ def hessian_spectrum_sweep(
         z /= np.linalg.norm(z)
         hess = hessian_g(RankOnePoint(y, z, y, z), beta)
         min_eig = float(np.linalg.eigvalsh(hess)[0])
-        if min_eig < counterexample_threshold and bundle_dir is not None:
+        if min_eig < HESSIAN_FINDING_THRESHOLD and bundle_dir is not None:
             from .bundles import Bundle, write_bundle
 
             bundle = Bundle(
@@ -227,8 +228,9 @@ def hessian_spectrum_sweep(
     return [run(i) for i in range(samples)]
 
 
-def fd_gradient(func, x0: np.ndarray, step: float = FD_GRAD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
+def fd_gradient(func, x0: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function, step ``FD_GRAD_STEP``."""
+    step = FD_GRAD_STEP
     x0 = np.asarray(x0, dtype=np.float64)
     out = np.zeros_like(x0)
     for i in range(x0.size):
@@ -238,8 +240,9 @@ def fd_gradient(func, x0: np.ndarray, step: float = FD_GRAD_STEP) -> np.ndarray:
     return out
 
 
-def fd_hessian(func, x0: np.ndarray, step: float = FD_HESS_STEP) -> np.ndarray:
-    """Central-difference Hessian of a scalar function."""
+def fd_hessian(func, x0: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian of a scalar function, step ``FD_HESS_STEP``."""
+    step = FD_HESS_STEP
     x0 = np.asarray(x0, dtype=np.float64)
     n = x0.size
     out = np.zeros((n, n))

@@ -14,7 +14,6 @@ not depend on which other restarts run beside it.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -282,14 +281,6 @@ def report_from_json(data: dict) -> SearchReport:
         per_restart=records,
         wall_time_s=float(data["wall_time_s"]),
     )
-
-
-def report_dumps(report: SearchReport) -> str:
-    return json.dumps(report_to_json(report), indent=2)
-
-
-def report_loads(text: str) -> SearchReport:
-    return report_from_json(json.loads(text))
 
 
 def _descend(form: _QForm, cfg: SearchConfig, seeds: list[int]):

@@ -18,6 +18,10 @@ from .linalg import ComplexMatrix, MultipartiteState, _complex_normal, _qf, svd
 # Relative cutoff separating genuine rank from double-precision noise.
 RANK_TOL = 1e-9
 
+# Iteration cap and stopping gain of each ascent restart in ``max_overlap_oracle``.
+OVERLAP_MAX_ITERS = 200
+OVERLAP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SchmidtData:
@@ -64,14 +68,14 @@ def psi_iso_inverse(m: ComplexMatrix) -> MultipartiteState:
     return MultipartiteState(m.data.reshape(-1), m.row_dims + m.col_dims)
 
 
-def schmidt_decompose(state: MultipartiteState, rank_tol: float = RANK_TOL) -> SchmidtData:
+def schmidt_decompose(state: MultipartiteState) -> SchmidtData:
     """Schmidt coefficients and bases via SVD of the coefficient matrix.
 
     The state reconstructs as ``sum_k c_k * kron(left[:, k], right[:, k])``.
     """
     mat = psi_iso(state)
     s, u, v = svd(mat)
-    rank = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
     return SchmidtData(coefficients=s, left_basis=u, right_basis=v.conj(), rank=rank)
 
 
@@ -93,8 +97,6 @@ def max_overlap_oracle(
     k: int,
     restarts: int = 20,
     seed: int = 0,
-    max_iters: int = 200,
-    tol: float = 1e-12,
 ) -> float:
     """Numerically maximize the rank-<=k squared overlap from random starts.
 
@@ -114,11 +116,11 @@ def max_overlap_oracle(
         q = _qf(_complex_normal(rng, (d, k)))
         value = 0.0
         prev = -np.inf
-        for _ in range(int(max_iters)):
+        for _ in range(OVERLAP_MAX_ITERS):
             p = _qf(a @ q)
             q = _qf(a.conj().T @ p)
             value = float(np.linalg.norm(p.conj().T @ a @ q) ** 2)
-            if value - prev < tol:
+            if value - prev < OVERLAP_TOL:
                 break
             prev = value
         best = max(best, value)

@@ -29,7 +29,13 @@ from .distill import (
     sandwich_evaluator,
 )
 from .iterate import certify_iterate, e_step, initial_iterate, iterate_partial_transpose
-from .linalg import ComplexMatrix, MultipartiteState, SubsystemPermutation, permutation_matrix
+from .linalg import (
+    ComplexMatrix,
+    MultipartiteState,
+    SubsystemPermutation,
+    _child_seed,
+    permutation_matrix,
+)
 from .multivar import (
     RankOnePoint,
     fd_gradient,
@@ -44,6 +50,9 @@ from .multivar import (
 from .optimize import DEFAULT_SEED, LIFT_BLOCK_BYTES, SearchConfig, minimize_q
 from .schmidt import max_overlap_oracle, max_overlap_sr_k, random_state, schmidt_decompose
 from .states import WernerParams, beta_bound, max_entangled_state
+
+# Discriminant slack above which ``rank2_slack_sampling`` records a finding.
+SLACK_FINDING_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -515,8 +524,6 @@ def rank2_slack_sampling(
     d: int,
     samples: int,
     seed: int,
-    ensemble: str = "haar-frames",
-    slack_threshold: float = 1e-9,
     bundle_dir=None,
 ) -> tuple[list[SlackRow], list[Path]]:
     """Sample the rank-two discriminant slack; positive slack is a finding.
@@ -527,12 +534,12 @@ def rank2_slack_sampling(
     rows = []
     findings = []
     for idx in range(int(samples)):
-        child = int(np.random.SeedSequence((int(seed), idx)).generate_state(1, np.uint64)[0])
+        child = _child_seed(seed, idx)
         rng = np.random.default_rng(child)
-        rt = random_rank_two(rng, int(d) * int(d), ensemble=ensemble)
+        rt = random_rank_two(rng, int(d) * int(d))
         _, slack = check_rank2_inequality(rt, int(d))
         rows.append(SlackRow(point_id=idx, seed=child, slack=float(slack)))
-        if slack > slack_threshold and bundle_dir is not None:
+        if slack > SLACK_FINDING_THRESHOLD and bundle_dir is not None:
             bundle = Bundle(
                 kind="rank2-slack-finding",
                 params={

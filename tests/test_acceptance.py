@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from distill_lab import cli
+from distill_lab import cli, multivar, verify
 from distill_lab.distill import q_functional, random_rank_two, sandwich_evaluator
 from distill_lab.iterate import certify_iterate, e_step, initial_iterate
 from distill_lab.linalg import (
@@ -158,6 +158,7 @@ def test_criterion_06_critical_points_and_gradient():
                 g = grad_g(RankOnePoint(y, z, y, z), beta)
                 worst_critical = max(worst_critical, float(np.max(np.abs(g))))
     worst_rel = 0.0
+    assert multivar.FD_GRAD_STEP == 1e-5
     for i in range(50):
         d = 2 if i % 2 == 0 else 3
         n = d * d
@@ -168,7 +169,7 @@ def test_criterion_06_critical_points_and_gradient():
             return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
 
         analytic = grad_g(RankOnePoint(w, x, y, z), beta)
-        numeric = fd_gradient(fn, np.concatenate([w, x]), step=1e-5)
+        numeric = fd_gradient(fn, np.concatenate([w, x]))
         worst_rel = max(worst_rel, float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)))
     report(
         6,
@@ -180,6 +181,7 @@ def test_criterion_06_critical_points_and_gradient():
 def test_criterion_07_hessian():
     rng = np.random.default_rng(SEED + 7)
     worst_sym, worst_rel = 0.0, 0.0
+    assert multivar.FD_HESS_STEP == 1e-4
     for i in range(50):
         d = 2 if i % 2 == 0 else 3
         n = d * d
@@ -194,7 +196,7 @@ def test_criterion_07_hessian():
         def fn(v):
             return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
 
-        numeric = fd_hessian(fn, np.concatenate([y, z]), step=1e-4)
+        numeric = fd_hessian(fn, np.concatenate([y, z]))
         worst_rel = max(worst_rel, float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)))
     report(
         7,
@@ -277,9 +279,8 @@ def test_criterion_11_conjecture_sweeps(tmp_path):
     )
 
     # Rank-two slack sampling: completes, emits CSV, bundles any finding.
-    slack_rows, slack_bundles = rank2_slack_sampling(
-        3, 10_000, SEED, slack_threshold=1e-9, bundle_dir=tmp_path / "sb"
-    )
+    assert verify.SLACK_FINDING_THRESHOLD == 1e-9
+    slack_rows, slack_bundles = rank2_slack_sampling(3, 10_000, SEED, bundle_dir=tmp_path / "sb")
     slack_csv = tmp_path / "slack.csv"
     lines = ["# distill-lab slack sampling d=3 samples=10000 seed=%d" % SEED, "point_id,seed,slack"]
     lines += [f"{r.point_id},{r.seed},{r.slack:.17g}" for r in slack_rows]

@@ -265,3 +265,8 @@ class TestDemoNonconvexity:
         assert run(["demo-nonconvexity", "--d", "3", "--beta", beta]) == 2
         assert "beta must lie in [-1, 1]" in capsys.readouterr().err
 
+
+    def test_side_past_the_cap_exits_two(self, capsys):
+        # d * d = 66049 exceeds DEFAULT_DIM_CAP = 2^16; refused before any array is built
+        assert run(["demo-nonconvexity", "--d", "257"]) == 2
+        assert "exceeds cap 65536" in capsys.readouterr().err

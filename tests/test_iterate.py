@@ -87,9 +87,10 @@ class TestEStep:
         assert np.allclose(np.sort(ev1), np.sort(np.outer(ev0, ev0).reshape(-1)), atol=1e-12)
 
     def test_dimension_cap(self):
-        s0 = initial_iterate(WernerParams(2, 0.0))
+        # d = 17 would step to side 17^4 = 83521, past DEFAULT_DIM_CAP = 2^16
+        s0 = initial_iterate(WernerParams(17, 0.0))
         with pytest.raises(DimensionLimitError):
-            e_step(s0, dim_cap=8)
+            e_step(s0)
 
 
 class TestCertifyIterate:

@@ -82,9 +82,9 @@ class TestKron:
         assert out.row_dims == (2, 2, 2, 2)
 
     def test_dimension_cap(self):
-        a = ComplexMatrix.identity((16,))
+        # 257 x 256 rows is just past DEFAULT_DIM_CAP = 2^16; the check runs first
         with pytest.raises(DimensionLimitError):
-            kron(a, a, dim_cap=100)
+            kron(ComplexMatrix.identity((257,)), ComplexMatrix.identity((256,)))
 
 
 class TestPartialTrace:

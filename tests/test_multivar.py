@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from distill_lab import multivar
 from distill_lab.bundles import read_bundle
 from distill_lab.distill import f_bilinear
 from distill_lab.errors import ShapeError
@@ -222,10 +223,9 @@ class TestHessianSpectrumSweep:
         h = hessian_g(RankOnePoint(y, y, y, y), -0.5)
         assert np.linalg.eigvalsh(h)[0] >= -1e-8
 
-    def test_forced_findings_emit_bundles(self, tmp_path):
-        rows = hessian_spectrum_sweep(
-            2, 2, seed=8, counterexample_threshold=np.inf, bundle_dir=tmp_path
-        )
+    def test_forced_findings_emit_bundles(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multivar, "HESSIAN_FINDING_THRESHOLD", np.inf)
+        rows = hessian_spectrum_sweep(2, 2, seed=8, bundle_dir=tmp_path)
         files = sorted(tmp_path.glob("hessian-*.bundle"))
         assert len(files) == 2
         bundle = read_bundle(files[0])

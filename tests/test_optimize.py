@@ -21,8 +21,8 @@ from distill_lab.optimize import (
     _QForm,
     grad_q,
     minimize_q,
-    report_dumps,
-    report_loads,
+    report_from_json,
+    report_to_json,
     witness_tensor,
 )
 
@@ -402,7 +402,7 @@ class TestReportSerialization:
     def test_json_round_trip(self):
         cfg = SearchConfig(d=2, n=2, beta=-0.6, restarts=3, seed=112)
         report = minimize_q(cfg)
-        loaded = report_loads(report_dumps(report))
+        loaded = report_from_json(json.loads(json.dumps(report_to_json(report))))
         assert loaded.best_value == report.best_value
         assert loaded.config == report.config
         assert loaded.per_restart == report.per_restart
@@ -411,10 +411,10 @@ class TestReportSerialization:
 
     def test_loads_reports_without_stop_reasons(self):
         report = minimize_q(SearchConfig(d=2, n=2, beta=-0.6, restarts=2, max_iters=5, seed=112))
-        data = json.loads(report_dumps(report))
+        data = json.loads(json.dumps(report_to_json(report)))
         assert [r["stop_reason"] for r in data["per_restart"]] == ["max_iters"] * 2
         for r in data["per_restart"]:
             del r["stop_reason"]
-        loaded = report_loads(json.dumps(data))
+        loaded = report_from_json(data)
         assert [r.stop_reason for r in loaded.per_restart] == [None, None]
         assert [r.final_value for r in loaded.per_restart] == [r.final_value for r in report.per_restart]

@@ -14,10 +14,25 @@ def test_suite_passes(suite, tmp_path):
     assert not failed, "; ".join(f"{r.name}: {r.detail}" for r in failed)
 
 
-def test_all_runs_every_suite(tmp_path):
+def test_all_runs_every_suite(tmp_path, monkeypatch):
+    # Dispatch only: the maths of every suite runs in test_suite_passes.
+    calls = []
+
+    def stub(name):
+        def check(seed, bundle_dir):
+            calls.append((name, seed, bundle_dir))
+            return True, name
+
+        return check
+
+    stubs = {suite: [(name, stub(name)) for name, _ in checks] for suite, checks in SUITES.items()}
+    monkeypatch.setattr(verify, "SUITES", stubs)
     combined = run_suite("all", seed=0xD157, bundle_dir=tmp_path)
-    total = sum(len(v) for v in SUITES.values())
-    assert len(combined) == total
+    names = [name for checks in SUITES.values() for name, _ in checks]
+    assert [r.name for r in combined] == names
+    assert [r.detail for r in combined] == names
+    assert all(r.ok for r in combined)
+    assert calls == [(name, 0xD157, tmp_path) for name in names]
 
 
 def test_unknown_suite_rejected():
