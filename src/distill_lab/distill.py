@@ -141,10 +141,16 @@ def random_rank_two_stack(rng: np.random.Generator, dim: int, count: int):
     calls and the samples are the same; the QR runs once over the stack, and
     every sample passes the ``RankTwoFactors`` checks.
     """
+    return _rank_two_from([rng] * int(count), dim)
+
+
+def _rank_two_from(rngs, dim: int):
+    """One haar-frames sample drawn from each generator of ``rngs`` in turn,
+    as a stack ``(sigma, u, v)`` shaped as ``random_rank_two_stack`` returns."""
     dim = int(dim)
-    gauss = np.empty((count, 2, dim, 2), dtype=np.complex128)
-    sigma = np.empty((count, 2))
-    for r in range(count):
+    gauss = np.empty((len(rngs), 2, dim, 2), dtype=np.complex128)
+    sigma = np.empty((len(rngs), 2))
+    for r, rng in enumerate(rngs):
         gauss[r, 0] = _complex_normal(rng, (dim, 2))
         gauss[r, 1] = _complex_normal(rng, (dim, 2))
         angle = rng.uniform(0.0, math.pi / 2.0)
@@ -241,30 +247,48 @@ def pqr(rt: RankTwoFactors, d: int) -> tuple[float, float, float]:
     (primes denoting conjugate transpose), Q the same with index 2, and R the
     real cross term.  The quadratic form sigma1^2 P + sigma2^2 Q +
     sigma1 sigma2 R reproduces ||Tr_1(X)||^2 + ||Tr_2(X)||^2 - |tr X|^2/2 for
-    the assembled matrix X.
+    the assembled matrix X.  This is ``pqr_stack`` on a stack of one.
     """
+    p, q, r = pqr_stack(*rt.stack()[1:], d)
+    return float(p[0]), float(q[0]), float(r[0])
+
+
+def pqr_stack(u: np.ndarray, v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pqr`` of each sample of the frames ``u``, ``v`` of a factor stack
+    shaped as ``random_rank_two_stack`` returns; row r depends only on
+    sample r."""
     d = int(d)
-    if rt.dim != d * d:
-        raise ShapeError(f"factor vectors of length {rt.dim} do not reshape to {d}x{d}")
-    u1 = rt.u1.reshape(d, d)
-    v1 = rt.v1.reshape(d, d)
-    u2 = rt.u2.reshape(d, d)
-    v2 = rt.v2.reshape(d, d)
+    if u.shape[1] != d * d:
+        raise ShapeError(f"factor vectors of length {u.shape[1]} do not reshape to {d}x{d}")
 
-    def diag_part(u, v):
-        a = np.trace(u.conj().T @ v @ v.conj().T @ u).real
-        b = np.trace(v @ u.conj().T @ u @ v.conj().T).real
-        t = np.trace(u @ v.conj().T)
-        return float(a + b - abs(t) ** 2 / 2.0)
+    def coeffs(frame, col):
+        # contiguous, so every product below runs through BLAS as for one matrix
+        return np.ascontiguousarray(frame[:, :, col]).reshape(len(frame), d, d)
 
-    p = diag_part(u1, v1)
-    q = diag_part(u2, v2)
-    cross = (
-        np.trace(v1 @ u1.conj().T @ u2 @ v2.conj().T)
-        + np.trace(u1.conj().T @ v1 @ v2.conj().T @ u2)
-        - np.conj(np.trace(u1 @ v1.conj().T)) * np.trace(u2 @ v2.conj().T) / 2.0
-    )
-    r = float(2.0 * cross.real)
+    def h(m):
+        return np.swapaxes(m.conj(), -1, -2)
+
+    def trace(m):
+        return np.trace(m, axis1=-2, axis2=-1)
+
+    def re_dot(a, b):
+        # Re(conj(a) b) from real products and sums: elementwise, so the
+        # same for any stack size
+        return a.real * b.real + a.imag * b.imag
+
+    u1, v1, u2, v2 = coeffs(u, 0), coeffs(v, 0), coeffs(u, 1), coeffs(v, 1)
+    t1 = trace(u1 @ h(v1))
+    t2 = trace(u2 @ h(v2))
+
+    def diag_part(u, v, t):
+        a = trace(h(u) @ v @ h(v) @ u).real
+        b = trace(v @ h(u) @ u @ h(v)).real
+        return a + b - re_dot(t, t) / 2.0
+
+    p = diag_part(u1, v1, t1)
+    q = diag_part(u2, v2, t2)
+    cross = trace(v1 @ h(u1) @ u2 @ h(v2)).real + trace(h(u1) @ v1 @ h(v2) @ u2).real
+    r = 2.0 * (cross - re_dot(t1, t2) / 2.0)
     return p, q, r
 
 
@@ -296,8 +320,13 @@ def check_rank2_inequality(
         p = 2.0 * (1.0 - f11)
         q = 2.0 * (1.0 - f22)
         r = -4.0 * f12
-    slack = r * r - 4.0 * (2.0 - p) * (2.0 - q)
+    slack = _discriminant_slack(p, q, r)
     return slack <= 0.0, float(slack)
+
+
+def _discriminant_slack(p, q, r):
+    """``R^2 - 4(2-P)(2-Q)`` for scalars or arrays of the triple."""
+    return r * r - 4.0 * (2.0 - p) * (2.0 - q)
 
 
 def m_n_permutation(n: int) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionLimitError, ShapeError
 from .linalg import DEFAULT_DIM_CAP, _child_seed
+from .optimize import _sample_blocks
 from .states import WernerParams
 
 DEFAULT_BETA = -0.5
@@ -118,23 +119,34 @@ def hessian_g(p: RankOnePoint, beta: float) -> np.ndarray:
     2*d^2 x 2*d^2 block matrix [[ww, wx], [wx^T, xx]].
 
     Raises off the critical manifold: the block formulas are only valid at
-    C = D0.
+    C = D0.  This is ``hessian_g_stack`` on a stack of one.
     """
     if not p.is_critical():
         raise ShapeError("analytic Hessian is only defined at critical points (w == y, x == z)")
-    d = p.d
+    return hessian_g_stack(p.w[None], p.x[None], p.y[None], p.z[None], beta)[0]
+
+
+def hessian_g_stack(
+    w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, beta: float
+) -> np.ndarray:
+    """``hessian_g`` at each row of four stacks ``(S, d^2)`` of critical points.
+
+    Rows are the vectors of ``RankOnePoint``s the caller knows to be critical;
+    f(D0, D0) comes from (y, z) and every other term from (w, x).  Returns
+    ``(S, 2*d^2, 2*d^2)``; row s depends only on the vectors of row s.
+    """
+    count, n = w.shape
+    d = math.isqrt(n)
     beta = float(beta)
-    wm = p.w.reshape(d, d)
-    xm = p.x.reshape(d, d)
-    f0 = f_real((p.y, p.z), (p.y, p.z), beta)
-    a = _h2(wm, xm, xm, beta).reshape(-1)  # d f(C,D0) / dw at the point
-    b = _h2(xm, wm, wm, beta).reshape(-1)  # d f(C,D0) / dx at the point
-    h_ww = f0 * _h3(xm, beta) - 2.0 * np.outer(a, a)
-    h_xx = f0 * _h3(wm, beta) - 2.0 * np.outer(b, b)
-    h_wx = f0 * _h4(wm, xm, beta) - 2.0 * f0 * _h5(wm, xm, beta) - 2.0 * np.outer(a, b)
-    top = np.hstack([h_ww, h_wx])
-    bottom = np.hstack([h_wx.T, h_xx])
-    return np.vstack([top, bottom])
+    wm = w.reshape(count, d, d)
+    xm = x.reshape(count, d, d)
+    f0 = _f_stack(y, z, beta)[:, None, None]
+    a = _h2(wm, xm, xm, beta).reshape(count, n)  # d f(C,D0) / dw at the point
+    b = _h2(xm, wm, wm, beta).reshape(count, n)  # d f(C,D0) / dx at the point
+    h_ww = f0 * _h3(xm, beta) - 2.0 * _outer(a, a)
+    h_xx = f0 * _h3(wm, beta) - 2.0 * _outer(b, b)
+    h_wx = f0 * _h4(wm, xm, beta) - 2.0 * f0 * _h5(wm, xm, beta) - 2.0 * _outer(a, b)
+    return np.block([[h_ww, h_wx], [_t(h_wx), h_xx]])
 
 
 def nonconvexity_demo(d: int, beta: float = DEFAULT_BETA) -> tuple[np.ndarray, float]:
@@ -189,7 +201,10 @@ def hessian_spectrum_sweep(
     Hessian at C = D0, and reports the minimum eigenvalue per sample.  Any
     value below ``HESSIAN_FINDING_THRESHOLD`` is written out as a reproduction
     bundle when ``bundle_dir`` is given; the sweep itself always completes —
-    a finding is data, not an error.  Per-sample seeds derive from ``seed``.
+    a finding is data, not an error.  Each sample draws from its own child
+    seed of ``seed``; the samples run in blocks (``_sample_blocks``), one
+    ``hessian_g_stack`` and one stacked ``eigvalsh`` per block, and a row does
+    not depend on the block it ran in.
     """
     d = int(d)
     samples = int(samples)
@@ -198,34 +213,39 @@ def hessian_spectrum_sweep(
     if samples < 1:
         raise ShapeError(f"need at least one sample, got {samples}")
     beta = WernerParams(d, beta).beta
+    n = d * d
+    rows = []
+    start = 0
+    for count in _sample_blocks(samples, 2 * n):
+        seeds = [_child_seed(seed, idx) for idx in range(start, start + count)]
+        y = np.empty((count, n))
+        z = np.empty((count, n))
+        for r, child in enumerate(seeds):
+            rng = np.random.default_rng(child)
+            y[r] = rng.standard_normal(n)
+            y[r] /= np.linalg.norm(y[r])
+            z[r] = rng.standard_normal(n)
+            z[r] /= np.linalg.norm(z[r])
+        min_eigs = np.linalg.eigvalsh(hessian_g_stack(y, z, y, z, beta))[:, 0]
+        for r, (child, min_eig) in enumerate(zip(seeds, min_eigs.tolist())):
+            if min_eig < HESSIAN_FINDING_THRESHOLD and bundle_dir is not None:
+                from .bundles import Bundle, write_bundle
 
-    def run(idx: int) -> SweepRow:
-        child = _child_seed(seed, idx)
-        rng = np.random.default_rng(child)
-        y = rng.standard_normal(d * d)
-        y /= np.linalg.norm(y)
-        z = rng.standard_normal(d * d)
-        z /= np.linalg.norm(z)
-        hess = hessian_g(RankOnePoint(y, z, y, z), beta)
-        min_eig = float(np.linalg.eigvalsh(hess)[0])
-        if min_eig < HESSIAN_FINDING_THRESHOLD and bundle_dir is not None:
-            from .bundles import Bundle, write_bundle
-
-            bundle = Bundle(
-                kind="hessian-counterexample",
-                params={
-                    "d": d,
-                    "n": 2,
-                    "beta": float(beta),
-                    "seed": child,
-                    "min_eigenvalue": min_eig,
-                },
-                vectors={"y": y, "z": z},
-            )
-            write_bundle(bundle, Path(bundle_dir) / f"hessian-{child}.bundle")
-        return SweepRow(point_id=idx, seed=child, min_eigenvalue=min_eig)
-
-    return [run(i) for i in range(samples)]
+                bundle = Bundle(
+                    kind="hessian-counterexample",
+                    params={
+                        "d": d,
+                        "n": 2,
+                        "beta": float(beta),
+                        "seed": child,
+                        "min_eigenvalue": min_eig,
+                    },
+                    vectors={"y": y[r], "z": z[r]},
+                )
+                write_bundle(bundle, Path(bundle_dir) / f"hessian-{child}.bundle")
+            rows.append(SweepRow(point_id=start + r, seed=child, min_eigenvalue=min_eig))
+        start += count
+    return rows
 
 
 def fd_gradient(func, x0: np.ndarray) -> np.ndarray:
@@ -275,21 +295,28 @@ def _h1(wm: np.ndarray, xm: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _h2(ym: np.ndarray, zm: np.ndarray, xm: np.ndarray, beta: float) -> np.ndarray:
-    """d f(C,D0) / dw as a d x d array, parameters (y, z), variable x."""
-    sxz = float(np.sum(xm * zm))
-    syz = float(np.sum(ym * zm))
-    return ym * sxz + beta * (ym @ zm.T @ xm + xm @ zm.T @ ym) + beta * beta * xm * syz
+    """d f(C,D0) / dw as a d x d array, parameters (y, z), variable x.
+
+    Takes one d x d matrix per argument or stacks ``(S, d, d)`` of them.
+    """
+    sxz = _msum(xm * zm)
+    syz = _msum(ym * zm)
+    return ym * sxz + beta * (ym @ _t(zm) @ xm + xm @ _t(zm) @ ym) + beta * beta * xm * syz
+
+
+# The second-derivative blocks below take stacks ``(S, d, d)`` and return
+# stacks ``(S, d^2, d^2)``, one d^2 x d^2 block per sample.
 
 
 def _h3(xm: np.ndarray, beta: float) -> np.ndarray:
     """Second derivative of f(C,C) within one factor, as a d^2 x d^2 block."""
-    d = xm.shape[0]
+    count, d, _ = xm.shape
     eye = np.eye(d)
-    vec = xm.reshape(-1)
+    vec = xm.reshape(count, d * d)
     return 2.0 * (
-        float(np.sum(xm * xm)) * np.eye(d * d)
-        + beta * (np.kron(eye, xm.T @ xm) + np.kron(xm @ xm.T, eye))
-        + beta * beta * np.outer(vec, vec)
+        _msum(xm * xm) * np.eye(d * d)
+        + beta * (_kron(eye, _t(xm) @ xm) + _kron(xm @ _t(xm), eye))
+        + beta * beta * _outer(vec, vec)
     )
 
 
@@ -300,30 +327,75 @@ def _h4(wm: np.ndarray, xm: np.ndarray, beta: float) -> np.ndarray:
     squared partial-trace norms twice; symmetry check: _h4(w, x) equals
     _h4(x, w) transposed.
     """
-    d = wm.shape[0]
+    count, d, _ = wm.shape
     eye = np.eye(d)
-    w = wm.reshape(-1)
-    x = xm.reshape(-1)
-    cross_a = np.einsum("il,kj->ijkl", wm, xm).reshape(d * d, d * d)
-    cross_b = np.einsum("il,kj->ijkl", xm, wm).reshape(d * d, d * d)
+    w = wm.reshape(count, d * d)
+    x = xm.reshape(count, d * d)
+    cross_a = np.einsum("sil,skj->sijkl", wm, xm).reshape(count, d * d, d * d)
+    cross_b = np.einsum("sil,skj->sijkl", xm, wm).reshape(count, d * d, d * d)
     return (
-        4.0 * np.outer(w, x)
-        + 2.0 * beta * (np.kron(wm @ xm.T, eye) + cross_a + np.kron(eye, wm.T @ xm) + cross_b)
-        + 2.0 * beta * beta * (float(np.sum(wm * xm)) * np.eye(d * d) + np.outer(x, w))
+        4.0 * _outer(w, x)
+        + 2.0 * beta * (_kron(wm @ _t(xm), eye) + cross_a + _kron(eye, _t(wm) @ xm) + cross_b)
+        + 2.0 * beta * beta * (_msum(wm * xm) * np.eye(d * d) + _outer(x, w))
     )
 
 
 def _h5(ym: np.ndarray, zm: np.ndarray, beta: float) -> np.ndarray:
     """Mixed second derivative of f(C,D0) across the two variable factors."""
-    d = ym.shape[0]
+    count, d, _ = ym.shape
     eye = np.eye(d)
-    y = ym.reshape(-1)
-    z = zm.reshape(-1)
+    y = ym.reshape(count, d * d)
+    z = zm.reshape(count, d * d)
     return (
-        np.outer(y, z)
-        + beta * (np.kron(ym @ zm.T, eye) + np.kron(eye, ym.T @ zm))
-        + beta * beta * float(np.sum(ym * zm)) * np.eye(d * d)
+        _outer(y, z)
+        + beta * (_kron(ym @ _t(zm), eye) + _kron(eye, _t(ym) @ zm))
+        + beta * beta * _msum(ym * zm) * np.eye(d * d)
     )
+
+
+def _f_stack(y: np.ndarray, z: np.ndarray, beta: float) -> np.ndarray:
+    """``f_real((y, z), (y, z), beta)`` for each row of two stacks ``(S, d^2)``."""
+    count, n = y.shape
+    d = math.isqrt(n)
+    ym = y.reshape(count, d, d)
+    zm = z.reshape(count, d, d)
+    left = ym @ _t(zm)
+    right = _t(ym) @ zm
+    yz = _dot(y, z)
+    plain = _dot(y, y) * _dot(z, z)
+    return plain + beta * (_msum(left * left) + _msum(right * right))[:, 0, 0] + beta * beta * (yz * yz)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of each matrix pair of two stacks ``(S, d, d)``; either
+    may be one d x d matrix shared by every sample."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    *lead, i, k, j, l = out.shape
+    return out.reshape(*lead, i * k, j * l)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.outer`` of each row pair of two stacks ``(S, n)``."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[s] @ b[s]`` for each row; the same BLAS dot as one vector pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _msum(m: np.ndarray) -> np.ndarray:
+    """Entry sum of each trailing d x d matrix, kept as a trailing (1, 1).
+
+    One reduction along a contiguous row per matrix, as ``np.sum`` of a
+    single matrix, so a sum does not depend on the stack.
+    """
+    return np.sum(m.reshape(*m.shape[:-2], -1), axis=-1)[..., None, None]
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of each trailing matrix."""
+    return np.swapaxes(m, -1, -2)
 
 
 def _as_square_vec(v) -> np.ndarray:

@@ -36,7 +36,8 @@ MAX_BACKTRACKS = 60
 # Restarts advance together in blocks whose stacked lift stays under this
 # many bytes.  Stacking pays at small sides, where numpy call overhead
 # dominates; a lift of side 256 is already 1 MiB, and stacks of two or more
-# of them cost 40-150% more per lift than one at a time.
+# of them cost 40-150% more per lift than one at a time.  The sample blocks
+# of the oracles (``_sample_blocks``) share this budget.
 LIFT_BLOCK_BYTES = 1 << 20
 
 # Why a restart stopped; RestartRecord.stop_reason holds one of these.
@@ -274,6 +275,8 @@ def report_from_json(data: dict) -> SearchReport:
         )
         for r in data["per_restart"]
     )
+    if len(records) != cfg.restarts:
+        raise ShapeError(f"{len(records)} per-restart records for {cfg.restarts} restarts")
     return SearchReport(
         config=cfg,
         best_value=float(data["best_value"]),
@@ -281,6 +284,20 @@ def report_from_json(data: dict) -> SearchReport:
         per_restart=records,
         wall_time_s=float(data["wall_time_s"]),
     )
+
+
+def _sample_blocks(samples: int, side: int):
+    """Block sizes covering ``samples`` samples of a per-sample oracle.
+
+    Each sample is costed as four complex matrices of ``side`` (for the
+    subset sum: the stack, a temporary of assembling it, one of the squared
+    norms, and the factors with their QR work at small sides), so a block's
+    working set stays under ``LIFT_BLOCK_BYTES``.  Callers keep every
+    sample's result independent of its block.
+    """
+    block = max(1, LIFT_BLOCK_BYTES // (4 * 16 * side * side))
+    for start in range(0, samples, block):
+        yield min(block, samples - start)
 
 
 def _descend(form: _QForm, cfg: SearchConfig, seeds: list[int]):

@@ -17,11 +17,15 @@ import numpy as np
 from .bundles import Bundle, write_bundle
 from .distill import (
     RankTwoFactors,
+    _discriminant_slack,
+    _rank_two_from,
+    _real_inner,
     assemble_stack,
     check_rank2_inequality,
     f_bilinear,
     merge_operator,
     pqr,
+    pqr_stack,
     q_functional,
     q_functional_stack,
     random_rank_two,
@@ -47,7 +51,7 @@ from .multivar import (
     _h1,
     _h2,
 )
-from .optimize import DEFAULT_SEED, LIFT_BLOCK_BYTES, SearchConfig, minimize_q
+from .optimize import DEFAULT_SEED, SearchConfig, _sample_blocks, minimize_q
 from .schmidt import max_overlap_oracle, max_overlap_sr_k, random_state, schmidt_decompose
 from .states import WernerParams, beta_bound, max_entangled_state
 
@@ -417,15 +421,14 @@ def _check_lemma_trace_contraction(seed, bundle_dir):
     rng = np.random.default_rng((seed, 502))
     worst = -np.inf
     for d in (2, 3, 4):
-        for _ in range(10_000 // 3 + 1):
-            w = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-            x = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-            wm = w.reshape(d, d)
-            xm = x.reshape(d, d)
-            full = np.linalg.norm(w) * np.linalg.norm(x)
-            t2 = np.linalg.norm(wm @ xm.conj().T)
-            t1 = np.linalg.norm(wm.T @ xm.conj())
-            worst = max(worst, float(t1 - full), float(t2 - full))
+        for count in _sample_blocks(10_000 // 3 + 1, d * d):
+            w, x = _complex_pairs(rng, count, d * d)
+            wm = w.reshape(count, d, d)
+            xm = x.reshape(count, d, d)
+            full = _norms(w) * _norms(x)
+            t2 = _norms(wm @ np.swapaxes(xm.conj(), -1, -2))
+            t1 = _norms(np.swapaxes(wm, -1, -2) @ xm.conj())
+            worst = max(worst, float(np.max(t1 - full)), float(np.max(t2 - full)))
     return worst <= 1e-12, f"max partial-trace norm excess over the full norm = {worst:.3e}"
 
 
@@ -478,13 +481,9 @@ def _check_rank_one_positivity(seed, bundle_dir):
             dims = (d,) * n
             size = d**n
             for count in _sample_blocks(3400, size):
-                u = np.empty((count, size), dtype=np.complex128)
-                v = np.empty((count, size), dtype=np.complex128)
-                for row in range(count):
-                    u[row] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                    v[row] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-                    u[row] /= np.linalg.norm(u[row])
-                    v[row] /= np.linalg.norm(v[row])
+                u, v = _complex_pairs(rng, count, size)
+                u /= _norms(u)[:, None]
+                v /= _norms(v)[:, None]
                 values = q_functional_stack(u[:, :, None] * v.conj()[:, None, :], dims, -0.5)
                 for val in values[values < -1e-9]:
                     ok = False
@@ -492,16 +491,19 @@ def _check_rank_one_positivity(seed, bundle_dir):
     return ok, detail
 
 
-def _sample_blocks(samples: int, side: int):
-    """Block sizes covering ``samples`` matrices of ``side``.
+def _complex_pairs(rng: np.random.Generator, count: int, size: int):
+    """``count`` pairs of complex Gaussian vectors of ``size`` as two stacks.
 
-    A block's working set is about four stacks of its matrices (the stack,
-    a temporary of assembling it, one of the squared norms, and the factors
-    with their QR work at small sides); it stays under ``LIFT_BLOCK_BYTES``.
+    One draw for the block; the values are those of ``count`` rows each
+    drawing ``normal(size) + 1j * normal(size)`` twice in turn.
     """
-    block = max(1, LIFT_BLOCK_BYTES // (4 * 16 * side * side))
-    for start in range(0, samples, block):
-        yield min(block, samples - start)
+    g = rng.standard_normal((count, 4, size))
+    return g[:, 0] + 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row of a stack, independent of the stack."""
+    return np.sqrt(_real_inner(stack, stack))
 
 
 def _check_rank_two_discriminant_sampling(seed, bundle_dir):
@@ -530,30 +532,41 @@ def rank2_slack_sampling(
 
     The inequality behind the slack is conjectural, so findings never raise:
     they are serialized as bundles (when a directory is given) and returned.
+    Each sample draws from its own child seed of ``seed``, as
+    ``random_rank_two`` would; the samples run in blocks (``_sample_blocks``),
+    one QR and one ``pqr_stack`` per block, and a row equals
+    ``check_rank2_inequality(random_rank_two(rng, d * d), d)`` whatever its
+    block.
     """
+    d = int(d)
+    samples = int(samples)
     rows = []
     findings = []
-    for idx in range(int(samples)):
-        child = _child_seed(seed, idx)
-        rng = np.random.default_rng(child)
-        rt = random_rank_two(rng, int(d) * int(d))
-        _, slack = check_rank2_inequality(rt, int(d))
-        rows.append(SlackRow(point_id=idx, seed=child, slack=float(slack)))
-        if slack > SLACK_FINDING_THRESHOLD and bundle_dir is not None:
-            bundle = Bundle(
-                kind="rank2-slack-finding",
-                params={
-                    "d": int(d),
-                    "n": 2,
-                    "beta": -0.5,
-                    "seed": child,
-                    "slack": float(slack),
-                    "sigma1": rt.sigma1,
-                    "sigma2": rt.sigma2,
-                },
-                vectors={"u1": rt.u1, "v1": rt.v1, "u2": rt.u2, "v2": rt.v2},
-            )
-            findings.append(write_bundle(bundle, Path(bundle_dir) / f"slack-{child}.bundle"))
+    start = 0
+    for count in _sample_blocks(samples, d * d):
+        seeds = [_child_seed(seed, idx) for idx in range(start, start + count)]
+        stack = _rank_two_from([np.random.default_rng(child) for child in seeds], d * d)
+        p, q, r = pqr_stack(*stack[1:], d)
+        slacks = _discriminant_slack(p, q, r)
+        for row, (child, slack) in enumerate(zip(seeds, slacks.tolist())):
+            rows.append(SlackRow(point_id=start + row, seed=child, slack=slack))
+            if slack > SLACK_FINDING_THRESHOLD and bundle_dir is not None:
+                rt = RankTwoFactors.from_stack(*stack, row)
+                bundle = Bundle(
+                    kind="rank2-slack-finding",
+                    params={
+                        "d": d,
+                        "n": 2,
+                        "beta": -0.5,
+                        "seed": child,
+                        "slack": slack,
+                        "sigma1": rt.sigma1,
+                        "sigma2": rt.sigma2,
+                    },
+                    vectors={"u1": rt.u1, "v1": rt.v1, "u2": rt.u2, "v2": rt.v2},
+                )
+                findings.append(write_bundle(bundle, Path(bundle_dir) / f"slack-{child}.bundle"))
+        start += count
     return rows, findings
 
 

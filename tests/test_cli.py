@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from distill_lab import cli
+from distill_lab import cli, optimize
 from distill_lab.bundles import read_bundle
 
 
@@ -181,6 +181,20 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: cannot load report")
 
 
+    @pytest.mark.parametrize("keep", [0, 2])
+    def test_report_missing_restart_records_exits_two(self, keep, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        run(["minimize", "--d", "2", "--n", "1", "--beta", "-0.3", "--restarts", "3", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        payload["report"]["per_restart"] = payload["report"]["per_restart"][:keep]
+        out.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["verify", "--suite", "report", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load report")
+        assert f"{keep} per-restart records for 3 restarts" in err
+
+
 class TestHessian:
     def test_csv_rows_and_summary(self, tmp_path):
         out = tmp_path / "h.csv"
@@ -204,6 +218,15 @@ class TestHessian:
         run(["hessian", "--d", "2", "--samples", "10", "--seed", "77", "--out", str(a)])
         run(["hessian", "--d", "2", "--samples", "10", "--seed", "77", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_does_not_depend_on_block_size(self, tmp_path, monkeypatch):
+        # 50 Hessians of side 18 a block: 120 samples take three blocks
+        assert list(optimize._sample_blocks(120, 18)) == [50, 50, 20]
+        argv = ["hessian", "--d", "3", "--samples", "120", "--seed", "78", "--out"]
+        run(argv + [str(tmp_path / "default.csv")])
+        monkeypatch.setattr(optimize, "LIFT_BLOCK_BYTES", 1)
+        run(argv + [str(tmp_path / "single.csv")])
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
 
     def test_cap_exits_two(self):
         assert run(["hessian", "--d", "5", "--samples", "1"]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distill_lab import verify
+from distill_lab import optimize, verify
 from distill_lab.bundles import read_bundle
 from distill_lab.distill import (
     RankTwoFactors,
@@ -13,6 +13,7 @@ from distill_lab.distill import (
     f_bilinear,
     m_n_permutation,
     pqr,
+    pqr_stack,
     q_functional,
     q_functional_stack,
     q_functional_unnormalized,
@@ -21,7 +22,7 @@ from distill_lab.distill import (
     sandwich_evaluator,
 )
 from distill_lab.errors import DimensionLimitError, ShapeError
-from distill_lab.linalg import ComplexMatrix, MultipartiteState, partial_trace
+from distill_lab.linalg import ComplexMatrix, MultipartiteState, _child_seed, partial_trace
 from distill_lab.states import WernerParams, max_entangled_state
 from distill_lab.verify import _sample_blocks, rank2_slack_sampling
 
@@ -183,6 +184,20 @@ class TestRandomRankTwoStack:
         assert block_rng.random() == single_rng.random() == reference_rng.random()
 
 
+class TestPqrStack:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_match_pqr_bitwise(self, d):
+        sigma, u, v = random_rank_two_stack(np.random.default_rng(d), d * d, 25)
+        p, q, r = pqr_stack(u, v, d)
+        for row in range(25):
+            assert (p[row], q[row], r[row]) == pqr(RankTwoFactors.from_stack(sigma, u, v, row), d)
+
+    def test_length_must_reshape(self):
+        _, u, v = random_rank_two_stack(np.random.default_rng(0), 9, 2)
+        with pytest.raises(ShapeError):
+            pqr_stack(u, v, 2)
+
+
 class TestFBilinear:
     def test_definitional_identity(self):
         rng = np.random.default_rng(3)
@@ -313,6 +328,22 @@ class TestCheckRankTwoInequality:
         assert bundle.params["d"] == 2
         assert set(bundle.vectors) == {"u1", "v1", "u2", "v2"}
         assert bundle.params["slack"] == pytest.approx(rows[0].slack, abs=0.0)
+
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch):
+        assert list(_sample_blocks(500, 9)) == [202, 202, 96]
+        default = [(r.point_id, r.seed, r.slack) for r in rank2_slack_sampling(3, 500, seed=14)[0]]
+        monkeypatch.setattr(optimize, "LIFT_BLOCK_BYTES", 1)
+        single = [(r.point_id, r.seed, r.slack) for r in rank2_slack_sampling(3, 500, seed=14)[0]]
+        assert single == default
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rows_match_the_single_point_route(self, d):
+        rows, _ = rank2_slack_sampling(d, 300, seed=15)
+        for idx, row in enumerate(rows):
+            child = _child_seed(15, idx)
+            rt = random_rank_two(np.random.default_rng(child), d * d)
+            assert (row.point_id, row.seed) == (idx, child)
+            assert row.slack == check_rank2_inequality(rt, d)[1]
 
     def test_general_beta_agrees_with_default_at_half(self):
         rng = np.random.default_rng(13)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from distill_lab import multivar
+from distill_lab import multivar, optimize
 from distill_lab.bundles import read_bundle
 from distill_lab.distill import f_bilinear
 from distill_lab.errors import ShapeError
-from distill_lab.linalg import ComplexMatrix
+from distill_lab.linalg import ComplexMatrix, _child_seed
 from distill_lab.multivar import (
     RankOnePoint,
     f_real,
@@ -14,6 +14,7 @@ from distill_lab.multivar import (
     g_value,
     grad_g,
     hessian_g,
+    hessian_g_stack,
     hessian_spectrum_sweep,
     nonconvexity_demo,
 )
@@ -181,6 +182,27 @@ class TestHessianG:
         assert np.linalg.eigvalsh(h)[0] >= -1e-8
 
 
+class TestHessianGStack:
+    def test_rows_match_single_points_bitwise(self):
+        rng = np.random.default_rng(21)
+        count, n = 7, 9
+        y = rng.standard_normal((count, n))
+        z = rng.standard_normal((count, n))
+        # variables off the parameters by less than CRITICAL_POINT_TOL
+        w = y + 1e-13 * rng.uniform(-1.0, 1.0, (count, n))
+        stack = hessian_g_stack(w, z, y, z, -0.4)
+        assert stack.shape == (count, 2 * n, 2 * n)
+        for s in range(count):
+            assert np.array_equal(stack[s], hessian_g(RankOnePoint(w[s], z[s], y[s], z[s]), -0.4))
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(22)
+        y = rng.standard_normal((5, 16))
+        z = rng.standard_normal((5, 16))
+        stack = hessian_g_stack(y, z, y, z, -0.5)
+        assert np.array_equal(stack, np.swapaxes(stack, -1, -2))
+
+
 class TestNonconvexityDemo:
     def test_midpoint_gradient_parallels_pattern(self):
         grad, cosine = nonconvexity_demo(3)
@@ -236,3 +258,24 @@ class TestHessianSpectrumSweep:
     def test_dimension_cap(self):
         with pytest.raises(ShapeError):
             hessian_spectrum_sweep(5, 1, seed=0)
+
+    def test_rows_do_not_depend_on_block_size(self, monkeypatch):
+        # Hessians of side 32 at d = 4: 40 samples fill three default blocks
+        assert list(optimize._sample_blocks(40, 32)) == [16, 16, 8]
+        default = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 40, seed=9)]
+        monkeypatch.setattr(optimize, "LIFT_BLOCK_BYTES", 1)
+        single = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 40, seed=9)]
+        assert single == default
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rows_match_the_single_point_route(self, d):
+        rows = hessian_spectrum_sweep(d, 60, seed=10)
+        for idx, row in enumerate(rows):
+            assert (row.point_id, row.seed) == (idx, _child_seed(10, idx))
+            rng = np.random.default_rng(row.seed)
+            y = rng.standard_normal(d * d)
+            y /= np.linalg.norm(y)
+            z = rng.standard_normal(d * d)
+            z /= np.linalg.norm(z)
+            hess = hessian_g(RankOnePoint(y, z, y, z), multivar.DEFAULT_BETA)
+            assert row.min_eigenvalue == float(np.linalg.eigvalsh(hess)[0])

@@ -409,6 +409,14 @@ class TestReportSerialization:
         assert np.array_equal(loaded.best_point.u1, report.best_point.u1)
         assert np.array_equal(loaded.best_point.v2, report.best_point.v2)
 
+    @pytest.mark.parametrize("keep", [0, 2])
+    def test_restart_record_count_must_match_config(self, keep):
+        report = minimize_q(SearchConfig(d=2, n=1, beta=-0.3, restarts=3, seed=112))
+        data = json.loads(json.dumps(report_to_json(report)))
+        data["per_restart"] = data["per_restart"][:keep]
+        with pytest.raises(ShapeError, match=f"{keep} per-restart records for 3 restarts"):
+            report_from_json(data)
+
     def test_loads_reports_without_stop_reasons(self):
         report = minimize_q(SearchConfig(d=2, n=2, beta=-0.6, restarts=2, max_iters=5, seed=112))
         data = json.loads(json.dumps(report_to_json(report)))

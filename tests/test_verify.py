@@ -35,6 +35,23 @@ def test_all_runs_every_suite(tmp_path, monkeypatch):
     assert calls == [(name, 0xD157, tmp_path) for name in names]
 
 
+def test_lemma_block_draws_match_per_row_draws():
+    # the per-row draws the lemma checks made before they ran in blocks
+    for size, blocks in ((4, (1, 6)), (9, (37,)), (27, (5, 2))):
+        block_rng = np.random.default_rng(size)
+        row_rng = np.random.default_rng(size)
+        for count in blocks:
+            u, v = verify._complex_pairs(block_rng, count, size)
+            assert u.shape == v.shape == (count, size)
+            for row in range(count):
+                ref_u = row_rng.standard_normal(size) + 1j * row_rng.standard_normal(size)
+                ref_v = row_rng.standard_normal(size) + 1j * row_rng.standard_normal(size)
+                assert np.array_equal(u[row], ref_u)
+                assert np.array_equal(v[row], ref_v)
+                assert verify._norms(u)[row] == verify._norms(u[row : row + 1])[0]
+        assert block_rng.random() == row_rng.random()
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus")
