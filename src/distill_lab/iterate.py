@@ -18,6 +18,7 @@ from .distill import RankTwoFactors
 from .errors import DimensionLimitError, ShapeError, SymmetryError
 from .linalg import (
     DEFAULT_DIM_CAP,
+    HERMITICITY_TOL,
     ComplexMatrix,
     SubsystemPermutation,
     kron,
@@ -60,11 +61,22 @@ class IterateState:
         if abs(tr - 1.0) > DENSITY_TRACE_TOL:
             raise ShapeError(f"density matrix trace must be 1 within {DENSITY_TRACE_TOL}, got {tr}")
         dev = float(np.max(np.abs(m.data - m.data.conj().T)))
-        if dev > 1e-10:
+        if dev > HERMITICITY_TOL:
             raise SymmetryError(f"density matrix must be Hermitian, deviation {dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m.data)[0])
-        if min_eig < DENSITY_PSD_TOL:
-            raise ShapeError(f"density matrix must be PSD within {DENSITY_PSD_TOL}, min eig {min_eig:.3e}")
+        # The smallest eigenvalue is at least DENSITY_PSD_TOL exactly when the
+        # diagonally shifted matrix has a Cholesky factor (up to rounding far
+        # below the tolerance).  That takes about a quarter of the flops of
+        # eigvalsh, which runs only to report a rejection.
+        shifted = np.array(m.data)
+        shifted.flat[:: m.rows + 1] -= DENSITY_PSD_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(m.data)[0])
+            if min_eig < DENSITY_PSD_TOL:
+                raise ShapeError(
+                    f"density matrix must be PSD within {DENSITY_PSD_TOL}, min eig {min_eig:.3e}"
+                ) from None
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "local_dim", local_dim)
 
@@ -88,10 +100,12 @@ def e_step(s: IterateState) -> IterateState:
         raise DimensionLimitError(
             f"step would produce side {new_local * new_local}, exceeding cap {DEFAULT_DIM_CAP}"
         )
-    doubled = kron(s.matrix, s.matrix)
     perm = SubsystemPermutation(EXCHANGE_PERM, (d, d, d, d))
-    exchanged = permute_subsystems(doubled, perm)
+    exchanged = permute_subsystems(kron(s.matrix, s.matrix), perm)
     merged = ComplexMatrix(exchanged.data, (new_local, new_local), (new_local, new_local))
+    # Each intermediate is as large as the output: free it before the new
+    # state's positivity check allocates its own copies.
+    del exchanged
     return IterateState(k=s.k + 1, matrix=merged, local_dim=new_local)
 
 

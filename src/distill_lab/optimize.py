@@ -170,10 +170,15 @@ def minimize_q(cfg: SearchConfig) -> SearchReport:
     fail; its record names which.  The report is deterministic given the
     config (restart seeds derive from ``cfg.seed``; the best restart is the
     first one with the least value), except for the recorded wall time.
+    A restart that ends at a non-finite value raises ``FloatingPointError``.
     """
     start = time.perf_counter()
     seeds = [_child_seed(cfg.seed, i) for i in range(cfg.restarts)]
     value, theta, frames, iterations, stop = _descend(_QForm(cfg.dims, cfg.beta), cfg, seeds)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        r = int(bad[0])
+        raise FloatingPointError(f"restart {r} (seed {seeds[r]}) ended at non-finite value {value[r]}")
     records = tuple(
         RestartRecord(seed=s, final_value=float(v), iterations=int(k), stop_reason=STOP_REASONS[c])
         for s, v, k, c in zip(seeds, value, iterations, stop)

@@ -36,6 +36,13 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal fault"):
             run(SEEDED["minimize"])
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_objective_is_not_a_result(self, monkeypatch):
+        # neither exit 0 ("no violation") nor 3 (witness), and not a usage error
+        monkeypatch.setattr(optimize._QForm, "lift", lambda self, x: x * float("nan"))
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            run(SEEDED["minimize"])
+
 
 class TestBound:
     def test_table_and_exit_code(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from distill_lab.bundles import read_bundle
 from distill_lab.distill import merge_operator
-from distill_lab.errors import DimensionLimitError, ShapeError
+from distill_lab.errors import DimensionLimitError, ShapeError, SymmetryError
 from distill_lab.iterate import (
     IterateState,
     certify_iterate,
@@ -35,6 +37,44 @@ class TestIterateState:
         rho = werner_state(WernerParams(2, 0.0))
         with pytest.raises(ShapeError):
             IterateState(0, rho, 3)
+
+    @staticmethod
+    def _forbid_spectrum(monkeypatch):
+        """Accepted states must pass on the Cholesky route alone."""
+
+        def no_spectrum(a):
+            raise AssertionError("eigvalsh runs only to report a rejection")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+
+    def test_accepts_rank_deficient_pure_state(self, monkeypatch):
+        psi = np.zeros(4, dtype=np.complex128)
+        psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
+        rho = np.outer(psi, psi.conj())
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(rho)  # singular: only the shifted matrix has a factor
+        self._forbid_spectrum(monkeypatch)
+        IterateState(0, ComplexMatrix(rho, (2, 2), (2, 2)), 2)
+
+    @staticmethod
+    def _with_smallest_eigenvalue(lam):
+        """Trace-one Hermitian 4x4 with spectrum (0.6, 0.4 - lam, 0, lam) in a random basis."""
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m = q @ np.diag([0.6, 0.4 - lam, 0.0, lam]) @ q.conj().T
+        return ComplexMatrix((m + m.conj().T) / 2.0, (2, 2), (2, 2))
+
+    def test_psd_tolerance_boundary(self, monkeypatch):
+        with pytest.raises(ShapeError, match="min eig"):
+            IterateState(0, self._with_smallest_eigenvalue(-2e-10), 2)
+        self._forbid_spectrum(monkeypatch)
+        IterateState(0, self._with_smallest_eigenvalue(-0.5e-10), 2)
+
+    def test_hermiticity_checked_before_positivity(self):
+        bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(np.complex128)
+        bad[0, 1] = 1e-3  # also not PSD, but the Hermiticity check comes first
+        with pytest.raises(SymmetryError):
+            IterateState(0, ComplexMatrix(bad, (2, 2), (2, 2)), 2)
 
 
 class TestEStep:
@@ -85,6 +125,18 @@ class TestEStep:
         ev0 = np.linalg.eigvalsh(s0.matrix.data)
         ev1 = np.linalg.eigvalsh(s1.matrix.data)
         assert np.allclose(np.sort(ev1), np.sort(np.outer(ev0, ev0).reshape(-1)), atol=1e-12)
+
+    def test_frees_intermediates_before_the_check(self):
+        # the kron and exchange copies and the check's shifted copy and factor
+        # each match the output's size; keeping one more alive would show here
+        s0 = initial_iterate(WernerParams(5, -0.25))
+        tracemalloc.start()
+        try:
+            s1 = e_step(s0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * s1.matrix.data.nbytes
 
     def test_dimension_cap(self):
         # d = 17 would step to side 17^4 = 83521, past DEFAULT_DIM_CAP = 2^16

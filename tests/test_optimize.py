@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from distill_lab.distill import RankTwoFactors, f_bilinear, q_functional
 from distill_lab.errors import DimensionLimitError, ShapeError
-from distill_lab.linalg import ComplexMatrix, _qf
+from distill_lab.linalg import ComplexMatrix, _child_seed, _qf
 from distill_lab.optimize import (
     ARMIJO_C,
     ARMIJO_FACTOR,
@@ -323,6 +323,13 @@ class TestMinimizeQ:
         done = minimize_q(SearchConfig(d=3, n=1, beta=-0.6, restarts=12, seed=115))
         assert {r.stop_reason for r in done.per_restart} <= {"grad_tol", "line_search"}
         assert max(r.iterations for r in done.per_restart) < 2000
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_value_raises_with_its_seed(self, monkeypatch):
+        monkeypatch.setattr(_QForm, "lift", lambda self, x: x * np.nan)
+        cfg = SearchConfig(d=2, n=1, beta=-0.3, restarts=3, seed=115)
+        with pytest.raises(FloatingPointError, match=rf"restart 0 \(seed {_child_seed(115, 0)}\)"):
+            minimize_q(cfg)
 
 
 class TestGradQ:
