@@ -15,6 +15,12 @@ Layout::
     vector <name> <complex|real> <length>
     <re_hex> <im_hex>                  # one line per entry (real: one field)
     ...
+
+The four rank-two finding kinds (``minimize-violation``,
+``distillation-witness``, ``copy-floor-violation``, ``rank2-slack-finding``)
+share one layout, written by ``RankTwoFactors.to_bundle``: the finding's own
+parameters, then ``sigma1`` and ``sigma2``, then complex vectors ``u1 v1 u2
+v2``.
 """
 
 from __future__ import annotations

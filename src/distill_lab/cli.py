@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bundles import Bundle, write_bundle
+from .bundles import write_bundle
 from .errors import DistillLabError
 from .iterate import certify_iterate, e_step, initial_iterate, witness_bundle_path
 from .multivar import hessian_spectrum_sweep, nonconvexity_demo, grad_g, RankOnePoint
@@ -172,18 +173,9 @@ def _cmd_minimize(args) -> int:
         seed=args.seed,
     )
     report = minimize_q(cfg)
-    header = _header(
-        "minimize",
-        {
-            "d": cfg.d,
-            "n": cfg.n,
-            "beta": cfg.beta,
-            "restarts": cfg.restarts,
-            "max_iters": cfg.max_iters,
-            "grad_tol": cfg.grad_tol,
-        },
-        seed=cfg.seed,
-    )
+    flags = asdict(cfg)
+    del flags["seed"]
+    header = _header("minimize", flags, seed=cfg.seed)
     if args.out is not None:
         payload = {"header": header, "report": report_to_json(report)}
         args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -191,19 +183,8 @@ def _cmd_minimize(args) -> int:
         print(f"report written to {args.out}")
     print(f"best_value = {_fmt(report.best_value)}")
     if report.best_value < -VIOLATION_TOL:
-        point = report.best_point
-        bundle = Bundle(
-            kind="minimize-violation",
-            params={
-                "d": cfg.d,
-                "n": cfg.n,
-                "beta": cfg.beta,
-                "seed": cfg.seed,
-                "best_value": report.best_value,
-                "sigma1": point.sigma1,
-                "sigma2": point.sigma2,
-            },
-            vectors={"u1": point.u1, "v1": point.v1, "u2": point.u2, "v2": point.v2},
+        bundle = report.best_point.to_bundle(
+            "minimize-violation", d=cfg.d, n=cfg.n, beta=cfg.beta, seed=cfg.seed, best_value=report.best_value
         )
         target_dir = args.out.parent if args.out is not None else Path(".")
         path = write_bundle(bundle, target_dir / f"violation-d{cfg.d}-n{cfg.n}-{cfg.seed}.bundle")
@@ -287,12 +268,6 @@ def _verify_report(path: Path) -> int:
 
 
 def _cmd_hessian(args) -> int:
-    if args.d > 4:
-        print(f"error: --d is capped at 4, got {args.d}", file=sys.stderr)
-        return 2
-    if args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return 2
     rows = hessian_spectrum_sweep(
         args.d, args.samples, args.seed, beta=args.beta, bundle_dir=args.bundle_dir
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundles import Bundle
 from .errors import DimensionLimitError, ShapeError
 from .linalg import (
     DEFAULT_DIM_CAP,
@@ -31,34 +32,6 @@ from .states import WernerParams, werner_partial_transpose
 
 # Subset enumeration is exponential in the number of copy slots.
 MAX_SUBSET_SLOTS = 12
-
-
-@dataclass(frozen=True)
-class SubsystemSet:
-    """Subset of copy slots {0..n-1} stored as a bitmask (bit i = slot i)."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self):
-        mask = int(self.mask)
-        n = int(self.n)
-        if not 0 < n <= 20:
-            raise ShapeError(f"slot count must lie in 1..20, got {n}")
-        if not 0 <= mask < (1 << n):
-            raise ShapeError(f"mask {mask} out of range for {n} slots")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def slots(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.mask >> i & 1)
-
-    def __iter__(self):
-        return iter(self.slots())
 
 
 @dataclass(frozen=True)
@@ -123,6 +96,15 @@ class RankTwoFactors:
         if math.prod(dims) != self.dim:
             raise ShapeError(f"dims {dims} do not multiply to vector length {self.dim}")
         return ComplexMatrix(self.assemble(), dims, dims)
+
+    def to_bundle(self, kind: str, **params) -> Bundle:
+        """A finding at this point: ``params`` in the order given, then
+        ``sigma1`` and ``sigma2``, with vectors ``u1 v1 u2 v2``."""
+        return Bundle(
+            kind=kind,
+            params={**params, "sigma1": self.sigma1, "sigma2": self.sigma2},
+            vectors={"u1": self.u1, "v1": self.v1, "u2": self.u2, "v2": self.v2},
+        )
 
 
 def random_rank_two(rng: np.random.Generator, dim: int) -> RankTwoFactors:
@@ -201,21 +183,6 @@ def q_functional_stack(data: np.ndarray, dims, beta: float) -> np.ndarray:
     for size, traced in _subset_traces(data, dims):
         total += beta**size * _real_inner(traced, traced)
     return total
-
-
-def q_functional_unnormalized(x: ComplexMatrix, beta: float) -> float:
-    """Scale-free variant dividing by ``||x||_F^2``.
-
-    Every subset term is quadratic in the entries of ``x`` (a partial trace
-    is linear and the Frobenius norm squares it), so the functional is
-    homogeneous of degree two and this single division undoes any scaling;
-    in particular the full-trace term ``|tr x|^2`` needs no separate
-    bookkeeping.
-    """
-    nrm2 = float(np.vdot(x.data, x.data).real)
-    if nrm2 == 0.0:
-        raise ShapeError("cannot normalize the zero matrix")
-    return q_functional(x, beta) / nrm2
 
 
 def f_bilinear(x: ComplexMatrix, y: ComplexMatrix, beta: float) -> complex:
@@ -300,26 +267,23 @@ def check_rank2_inequality(
     Returns ``(holds, slack)`` with ``slack = R^2 - 4(2-P)(2-Q)``; negative
     slack means the quadratic form stays below its ceiling for every singular
     angle, equivalently the functional is nonnegative on the whole rank-two
-    circle through the factors.  At the default beta the scalars come from
-    the explicit trace formulas; for other beta they are derived from the
-    polarized functional, which reduces to the same triple at -1/2.
+    circle through the factors.  The scalars come from the polarized
+    functional, so at -1/2 this is a second route to the explicit trace
+    formulas of ``pqr``.
     """
+    d = int(d)
+    if rt.dim != d * d:
+        raise ShapeError(f"factor vectors of length {rt.dim} do not reshape to {d}x{d}")
     beta = float(beta)
-    if beta == -0.5:
-        p, q, r = pqr(rt, d)
-    else:
-        d = int(d)
-        if rt.dim != d * d:
-            raise ShapeError(f"factor vectors of length {rt.dim} do not reshape to {d}x{d}")
-        dims = (d, d)
-        x1 = ComplexMatrix(np.outer(rt.u1, rt.v1.conj()), dims, dims)
-        x2 = ComplexMatrix(np.outer(rt.u2, rt.v2.conj()), dims, dims)
-        f11 = f_bilinear(x1, x1, beta).real
-        f22 = f_bilinear(x2, x2, beta).real
-        f12 = f_bilinear(x1, x2, beta).real
-        p = 2.0 * (1.0 - f11)
-        q = 2.0 * (1.0 - f22)
-        r = -4.0 * f12
+    dims = (d, d)
+    x1 = ComplexMatrix(np.outer(rt.u1, rt.v1.conj()), dims, dims)
+    x2 = ComplexMatrix(np.outer(rt.u2, rt.v2.conj()), dims, dims)
+    f11 = f_bilinear(x1, x1, beta).real
+    f22 = f_bilinear(x2, x2, beta).real
+    f12 = f_bilinear(x1, x2, beta).real
+    p = 2.0 * (1.0 - f11)
+    q = 2.0 * (1.0 - f22)
+    r = -4.0 * f12
     slack = _discriminant_slack(p, q, r)
     return slack <= 0.0, float(slack)
 

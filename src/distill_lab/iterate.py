@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bundles import write_bundle
 from .distill import RankTwoFactors
 from .errors import DimensionLimitError, ShapeError, SymmetryError
 from .linalg import (
@@ -134,21 +135,8 @@ def certify_iterate(
     scale = params.normalization**n_copies
     min_value = report.best_value / scale
     if min_value < -CERTIFY_TOL and bundle_dir is not None:
-        from .bundles import Bundle, write_bundle
-
-        point = report.best_point
-        bundle = Bundle(
-            kind="distillation-witness",
-            params={
-                "d": params.d,
-                "n": n_copies,
-                "beta": params.beta,
-                "seed": cfg.seed,
-                "sigma1": point.sigma1,
-                "sigma2": point.sigma2,
-                "min_value": min_value,
-            },
-            vectors={"u1": point.u1, "v1": point.v1, "u2": point.u2, "v2": point.v2},
+        bundle = report.best_point.to_bundle(
+            "distillation-witness", d=params.d, n=n_copies, beta=params.beta, seed=cfg.seed, min_value=min_value
         )
         write_bundle(bundle, witness_bundle_path(bundle_dir, k, cfg.seed))
     return min_value, report.best_point

@@ -205,7 +205,8 @@ def grad_q(rt: RankTwoFactors, d: int, n: int, beta: float) -> TangentGradient:
     if rt.dim != d**n:
         raise ShapeError(f"factor length {rt.dim} does not equal {d}^{n}")
     theta = np.array([math.atan2(rt.sigma2, rt.sigma1)])
-    frames = np.array([[np.column_stack([rt.u1, rt.u2]), np.column_stack([rt.v1, rt.v2])]])
+    _, u, v = rt.stack()
+    frames = np.stack([u, v], axis=1)
     _, gtheta, gframes, _ = _evaluate(_QForm((d,) * n, beta), theta, frames)
     return TangentGradient(theta=float(gtheta[0]), u=gframes[0, 0], v=gframes[0, 1])
 
@@ -234,18 +235,9 @@ def witness_tensor(beta: float, d: int) -> ComplexMatrix:
 
 def report_to_json(report: SearchReport) -> dict:
     """JSON-serializable form; complex vectors become [re, im] pair lists."""
-    cfg = report.config
     point = report.best_point
     return {
-        "config": {
-            "d": cfg.d,
-            "n": cfg.n,
-            "beta": cfg.beta,
-            "restarts": cfg.restarts,
-            "max_iters": cfg.max_iters,
-            "grad_tol": cfg.grad_tol,
-            "seed": cfg.seed,
-        },
+        "config": asdict(report.config),
         "best_value": report.best_value,
         "best_point": {
             "sigma1": point.sigma1,

@@ -43,31 +43,6 @@ def psi_iso(state: MultipartiteState) -> ComplexMatrix:
     return ComplexMatrix(state.amplitudes.reshape(d, d), (d,), (d,))
 
 
-def psi_iso_general(state: MultipartiteState) -> ComplexMatrix:
-    """Coefficient matrix of a 2N-part state across its A...A|B...B cut.
-
-    The first N subsystem indices form the row multi-index and the last N
-    the column multi-index, so this is a pure reshape.
-    """
-    n2 = len(state.dims)
-    if n2 < 2 or n2 % 2 != 0:
-        raise ShapeError(f"expected an even number of subsystems, got {n2}")
-    half = n2 // 2
-    row_dims = state.dims[:half]
-    col_dims = state.dims[half:]
-    if row_dims != col_dims:
-        raise ShapeError(
-            f"row and column halves must carry equal dims, got {row_dims} vs {col_dims}"
-        )
-    rows = math.prod(row_dims)
-    return ComplexMatrix(state.amplitudes.reshape(rows, rows), row_dims, col_dims)
-
-
-def psi_iso_inverse(m: ComplexMatrix) -> MultipartiteState:
-    """Invert the isomorphism; the matrix must have unit Frobenius norm."""
-    return MultipartiteState(m.data.reshape(-1), m.row_dims + m.col_dims)
-
-
 def schmidt_decompose(state: MultipartiteState) -> SchmidtData:
     """Schmidt coefficients and bases via SVD of the coefficient matrix.
 

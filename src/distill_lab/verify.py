@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import Bundle, write_bundle
+from .bundles import write_bundle
 from .distill import (
     RankTwoFactors,
     _discriminant_slack,
@@ -452,18 +452,8 @@ def _check_copy_floor(seed, bundle_dir):
                         val = float(values[row])
                         path = None
                         if bundle_dir is not None:
-                            bundle = Bundle(
-                                kind="copy-floor-violation",
-                                params={
-                                    "d": d,
-                                    "n": n,
-                                    "beta": float(beta),
-                                    "seed": seed,
-                                    "value": val,
-                                    "sigma1": rt.sigma1,
-                                    "sigma2": rt.sigma2,
-                                },
-                                vectors={"u1": rt.u1, "v1": rt.v1, "u2": rt.u2, "v2": rt.v2},
+                            bundle = rt.to_bundle(
+                                "copy-floor-violation", d=d, n=n, beta=float(beta), seed=seed, value=val
                             )
                             path = write_bundle(bundle, Path(bundle_dir) / f"floor-{d}-{n}.bundle")
                         detail = f"floor violated: q={val:.3e} at d={d} n={n} beta={beta} (bundle: {path})"
@@ -535,8 +525,9 @@ def rank2_slack_sampling(
     Each sample draws from its own child seed of ``seed``, as
     ``random_rank_two`` would; the samples run in blocks (``_sample_blocks``),
     one QR and one ``pqr_stack`` per block, and a row equals
-    ``check_rank2_inequality(random_rank_two(rng, d * d), d)`` whatever its
-    block.
+    ``_discriminant_slack(*pqr(random_rank_two(rng, d * d), d))`` whatever
+    its block.  ``check_rank2_inequality`` takes the polarized route to the
+    same slack and agrees to rounding.
     """
     d = int(d)
     samples = int(samples)
@@ -552,19 +543,7 @@ def rank2_slack_sampling(
             rows.append(SlackRow(point_id=start + row, seed=child, slack=slack))
             if slack > SLACK_FINDING_THRESHOLD and bundle_dir is not None:
                 rt = RankTwoFactors.from_stack(*stack, row)
-                bundle = Bundle(
-                    kind="rank2-slack-finding",
-                    params={
-                        "d": d,
-                        "n": 2,
-                        "beta": -0.5,
-                        "seed": child,
-                        "slack": slack,
-                        "sigma1": rt.sigma1,
-                        "sigma2": rt.sigma2,
-                    },
-                    vectors={"u1": rt.u1, "v1": rt.v1, "u2": rt.u2, "v2": rt.v2},
-                )
+                bundle = rt.to_bundle("rank2-slack-finding", d=d, n=2, beta=-0.5, seed=child, slack=slack)
                 findings.append(write_bundle(bundle, Path(bundle_dir) / f"slack-{child}.bundle"))
         start += count
     return rows, findings

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distill_lab import cli, verify
 from distill_lab.bundles import Bundle, read_bundle, write_bundle
+from distill_lab.distill import RankTwoFactors, _discriminant_slack, pqr, q_functional
+from distill_lab.iterate import certify_iterate
+from distill_lab.states import WernerParams
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -103,3 +107,74 @@ def test_vectors_round_trip_over_valid_names(tmp_path_factory, vectors):
     assert list(loaded.vectors) == list(vectors)
     for name, values in vectors.items():
         assert loaded.vectors[name].tolist() == values
+
+
+def _minimize_violation(out):
+    cli.main(["minimize", "--d", "2", "--n", "2", "--beta", "-0.6", "--seed", "7", "--out", str(out / "r.json")])
+
+
+def _distillation_witness(out):
+    certify_iterate(WernerParams(2, -0.9), 1, seed=7, bundle_dir=out)
+
+
+def _copy_floor_violation(out):
+    verify._check_copy_floor(7, out)
+
+
+def _rank2_slack_finding(out):
+    verify.rank2_slack_sampling(2, 3, seed=12, bundle_dir=out)
+
+
+def _q_value(rt, p):
+    return q_functional(rt.to_matrix((p["d"],) * p["n"]), p["beta"])
+
+
+# kind -> (producer, stored value, stored value recomputed from the reread point)
+RANK_TWO_FINDINGS = {
+    "minimize-violation": (_minimize_violation, lambda p: p["best_value"], _q_value),
+    "distillation-witness": (
+        _distillation_witness,
+        lambda p: p["min_value"] * WernerParams(p["d"], p["beta"]).normalization ** p["n"],
+        _q_value,
+    ),
+    "copy-floor-violation": (_copy_floor_violation, lambda p: p["value"], _q_value),
+    "rank2-slack-finding": (
+        _rank2_slack_finding,
+        lambda p: p["slack"],
+        lambda rt, p: _discriminant_slack(*pqr(rt, p["d"])),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANK_TWO_FINDINGS))
+def test_rank_two_findings_read_back_and_rerun(kind, tmp_path, monkeypatch):
+    produce, stored, recompute = RANK_TWO_FINDINGS[kind]
+    # a floor below the root bound, and every slack a finding
+    monkeypatch.setattr(verify, "beta_bound", lambda n: -0.75)
+    monkeypatch.setattr(verify, "SLACK_FINDING_THRESHOLD", -np.inf)
+    written = []
+    real_to_bundle = RankTwoFactors.to_bundle
+
+    def recording_to_bundle(self, *args, **params):
+        written.append(real_to_bundle(self, *args, **params))
+        return written[-1]
+
+    monkeypatch.setattr(RankTwoFactors, "to_bundle", recording_to_bundle)
+    produce(tmp_path / "first")
+    paths = sorted((tmp_path / "first").glob("*.bundle"))
+    assert paths
+    for path in paths:
+        loaded = read_bundle(path)
+        assert loaded.kind == kind
+        assert list(loaded.vectors) == ["u1", "v1", "u2", "v2"]
+        p = loaded.params
+        rt = RankTwoFactors(p["sigma1"], p["sigma2"], *loaded.vectors.values())
+        assert any(
+            bundle.params == p
+            and all(np.array_equal(bundle.vectors[name], vec) for name, vec in loaded.vectors.items())
+            for bundle in written
+        )
+        assert abs(recompute(rt, p) - stored(p)) <= 1e-12
+    produce(tmp_path / "second")
+    for path in paths:
+        assert (tmp_path / "second" / path.name).read_bytes() == path.read_bytes()

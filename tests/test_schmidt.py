@@ -9,8 +9,6 @@ from distill_lab.schmidt import (
     max_overlap_oracle,
     max_overlap_sr_k,
     psi_iso,
-    psi_iso_general,
-    psi_iso_inverse,
     random_state,
     schmidt_decompose,
 )
@@ -33,7 +31,8 @@ class TestPsiIso:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         state = random_state(rng, (3, 3))
-        back = psi_iso_inverse(psi_iso(state))
+        out = psi_iso(state)
+        back = MultipartiteState(out.data.reshape(-1), out.row_dims + out.col_dims)
         assert np.array_equal(back.amplitudes, state.amplitudes)
         assert back.dims == state.dims
 
@@ -51,13 +50,6 @@ class TestPsiIso:
         state = MultipartiteState(np.array([1.0] + [0.0] * 5), (2, 3))
         with pytest.raises(ShapeError):
             psi_iso(state)
-
-    def test_general_form_groups_halves(self):
-        rng = np.random.default_rng(2)
-        state = random_state(rng, (2, 2, 2, 2))
-        out = psi_iso_general(state)
-        assert out.row_dims == (2, 2) and out.cols == 4
-        assert np.array_equal(out.data.reshape(-1), state.amplitudes)
 
 
 class TestSchmidtDecompose:
