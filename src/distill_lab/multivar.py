@@ -75,26 +75,56 @@ class RankOnePoint:
 
 
 def f_real(c_pair, d_pair, beta: float) -> float:
-    """Two-copy functional on real rank-one matrices given by factor pairs."""
+    """Two-copy functional on real rank-one matrices given by factor pairs.
+
+    This is ``f_real_stack`` on a stack of one.
+    """
     w, x = (_as_square_vec(v) for v in c_pair)
     y, z = (_as_square_vec(v) for v in d_pair)
     if not w.size == x.size == y.size == z.size:
         raise ShapeError("factor vectors must share one length")
-    d = math.isqrt(w.size)
-    wm, xm, ym, zm = (v.reshape(d, d) for v in (w, x, y, z))
+    return float(f_real_stack(w[None], x[None], y[None], z[None], beta)[0])
+
+
+def f_real_stack(
+    w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, beta: float
+) -> np.ndarray:
+    """``f_real((w, x), (y, z), beta)`` for each row of stacks ``(S, d^2)``.
+
+    A stack of one row broadcasts against the others.  Returns ``(S,)``;
+    row s depends only on the vectors of row s.
+    """
+    d = math.isqrt(w.shape[-1])
+    wm, xm, ym, zm = (v.reshape(-1, d, d) for v in (w, x, y, z))
     beta = float(beta)
-    plain = float(w @ y) * float(x @ z)
-    left = float(np.sum((wm @ xm.T) * (ym @ zm.T)))
-    right = float(np.sum((wm.T @ xm) * (ym.T @ zm)))
-    traces = float(w @ x) * float(y @ z)
+    plain = _dot(w, y) * _dot(x, z)
+    left = _msum((wm @ _t(xm)) * (ym @ _t(zm)))[:, 0, 0]
+    right = _msum((_t(wm) @ xm) * (_t(ym) @ zm))[:, 0, 0]
+    traces = _dot(w, x) * _dot(y, z)
     return plain + beta * (left + right) + beta * beta * traces
 
 
 def g_value(p: RankOnePoint, beta: float) -> float:
-    """f(C,C) f(D0,D0) - f(C,D0)^2; zero whenever C == D0."""
-    f_cc = f_real((p.w, p.x), (p.w, p.x), beta)
-    f_dd = f_real((p.y, p.z), (p.y, p.z), beta)
-    f_cd = f_real((p.w, p.x), (p.y, p.z), beta)
+    """f(C,C) f(D0,D0) - f(C,D0)^2; zero whenever C == D0.
+
+    This is ``g_value_stack`` on a stack of one.
+    """
+    return float(g_value_stack(p.w[None], p.x[None], p.y, p.z, beta)[0])
+
+
+def g_value_stack(
+    w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, beta: float
+) -> np.ndarray:
+    """``g_value`` at each row of two stacks ``(S, d^2)`` of variables (w, x).
+
+    The parameters (y, z) are one pair of length-d^2 vectors shared by every
+    row.  Returns ``(S,)``; row s depends only on w[s] and x[s].
+    """
+    y = y[None]
+    z = z[None]
+    f_cc = f_real_stack(w, x, w, x, beta)
+    f_dd = f_real_stack(y, z, y, z, beta)
+    f_cd = f_real_stack(w, x, y, z, beta)
     return f_cc * f_dd - f_cd * f_cd
 
 
@@ -140,7 +170,7 @@ def hessian_g_stack(
     beta = float(beta)
     wm = w.reshape(count, d, d)
     xm = x.reshape(count, d, d)
-    f0 = _f_stack(y, z, beta)[:, None, None]
+    f0 = f_real_stack(y, z, y, z, beta)[:, None, None]
     a = _h2(wm, xm, xm, beta).reshape(count, n)  # d f(C,D0) / dw at the point
     b = _h2(xm, wm, wm, beta).reshape(count, n)  # d f(C,D0) / dx at the point
     h_ww = f0 * _h3(xm, beta) - 2.0 * _outer(a, a)
@@ -249,39 +279,42 @@ def hessian_spectrum_sweep(
 
 
 def fd_gradient(func, x0: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar function, step ``FD_GRAD_STEP``."""
+    """Central-difference gradient at a point ``x0`` of length m, step ``FD_GRAD_STEP``.
+
+    ``func`` is stacked: it maps points ``(S, m)`` to their values ``(S,)``.
+    All 2m probe points ``x0 +- step e_i`` go to it in one call.
+    """
     step = FD_GRAD_STEP
     x0 = np.asarray(x0, dtype=np.float64)
-    out = np.zeros_like(x0)
-    for i in range(x0.size):
-        e = np.zeros_like(x0)
-        e[i] = step
-        out[i] = (func(x0 + e) - func(x0 - e)) / (2.0 * step)
-    return out
+    m = x0.size
+    shifts = step * np.eye(m)
+    values = func(np.concatenate([x0 + shifts, x0 - shifts]))
+    return (values[:m] - values[m:]) / (2.0 * step)
 
 
 def fd_hessian(func, x0: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of a scalar function, step ``FD_HESS_STEP``."""
+    """Central-difference Hessian at a point ``x0`` of length m, step ``FD_HESS_STEP``.
+
+    ``func`` is stacked: it maps points ``(S, m)`` to their values ``(S,)``.
+    All 1 + 2m + 2m(m - 1) probe points (``x0``, ``x0 +- 2 step e_i`` and
+    ``x0 +- step e_i +- step e_j`` for i < j) go to it in one call.
+    """
     step = FD_HESS_STEP
     x0 = np.asarray(x0, dtype=np.float64)
-    n = x0.size
-    out = np.zeros((n, n))
-    f0 = func(x0)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        out[i, i] = (func(x0 + 2 * ei) - 2 * f0 + func(x0 - 2 * ei)) / (4.0 * step * step)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            val = (
-                func(x0 + ei + ej)
-                - func(x0 + ei - ej)
-                - func(x0 - ei + ej)
-                + func(x0 - ei - ej)
-            ) / (4.0 * step * step)
-            out[i, j] = val
-            out[j, i] = val
+    m = x0.size
+    e = step * np.eye(m)
+    i, j = np.triu_indices(m, 1)
+    ei, ej = e[i], e[j]
+    probes = [x0[None], x0 + 2 * e, x0 - 2 * e, x0 + ei + ej, x0 + ei - ej, x0 - ei + ej, x0 - ei - ej]
+    values = func(np.concatenate(probes))
+    f0 = values[0]
+    plus, minus = values[1 : m + 1], values[m + 1 : 2 * m + 1]
+    pp, pm, mp, mm = values[2 * m + 1 :].reshape(4, -1)
+    out = np.empty((m, m))
+    out[np.diag_indices(m)] = (plus - 2 * f0 + minus) / (4.0 * step * step)
+    off = (pp - pm - mp + mm) / (4.0 * step * step)
+    out[i, j] = off
+    out[j, i] = off
     return out
 
 
@@ -351,19 +384,6 @@ def _h5(ym: np.ndarray, zm: np.ndarray, beta: float) -> np.ndarray:
         + beta * (_kron(ym @ _t(zm), eye) + _kron(eye, _t(ym) @ zm))
         + beta * beta * _msum(ym * zm) * np.eye(d * d)
     )
-
-
-def _f_stack(y: np.ndarray, z: np.ndarray, beta: float) -> np.ndarray:
-    """``f_real((y, z), (y, z), beta)`` for each row of two stacks ``(S, d^2)``."""
-    count, n = y.shape
-    d = math.isqrt(n)
-    ym = y.reshape(count, d, d)
-    zm = z.reshape(count, d, d)
-    left = ym @ _t(zm)
-    right = _t(ym) @ zm
-    yz = _dot(y, z)
-    plain = _dot(y, y) * _dot(z, z)
-    return plain + beta * (_msum(left * left) + _msum(right * right))[:, 0, 0] + beta * beta * (yz * yz)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

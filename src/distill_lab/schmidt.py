@@ -79,27 +79,37 @@ def max_overlap_oracle(
     ``Q <- qf(A^dag P)``; each half-step is monotone in the attained value
     ``||P^dag A Q||_F^2``, which at the optimum equals the analytic answer.
     Uses only matrix-vector algebra on the coefficient matrix, never its SVD.
+
+    Restart r starts from ``default_rng((seed, r))``.  The restarts advance
+    as one stack ``(restarts, d, k)``: each live row takes one ascent step
+    per round and stops on its own, when its value gains less than
+    ``OVERLAP_TOL`` or after ``OVERLAP_MAX_ITERS`` steps.  A row's arithmetic
+    is that of the restart run alone.  Returns the largest final value.
     """
     d = _bipartite_dim(state)
     k = int(k)
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in 1..{d}, got {k}")
+    restarts = int(restarts)
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
     a = psi_iso(state).data
-    best = 0.0
-    for r in range(int(restarts)):
-        rng = np.random.default_rng((int(seed), r))
-        q = _qf(_complex_normal(rng, (d, k)))
-        value = 0.0
-        prev = -np.inf
-        for _ in range(OVERLAP_MAX_ITERS):
-            p = _qf(a @ q)
-            q = _qf(a.conj().T @ p)
-            value = float(np.linalg.norm(p.conj().T @ a @ q) ** 2)
-            if value - prev < OVERLAP_TOL:
-                break
-            prev = value
-        best = max(best, value)
-    return best
+    a_h = a.conj().T
+    starts = [_complex_normal(np.random.default_rng((int(seed), r)), (d, k)) for r in range(restarts)]
+    q = _qf(np.stack(starts))
+    value = np.full(restarts, -np.inf)
+    live = np.arange(restarts)
+    for _ in range(OVERLAP_MAX_ITERS):
+        p = _qf(a @ q[live])
+        q_live = _qf(a_h @ p)
+        q[live] = q_live
+        attained = _frobenius_sq(np.swapaxes(p.conj(), -1, -2) @ a @ q_live)
+        stalled = attained - value[live] < OVERLAP_TOL
+        value[live] = attained
+        live = live[~stalled]
+        if live.size == 0:
+            break
+    return float(np.max(value))
 
 
 def random_state(rng: np.random.Generator, dims) -> MultipartiteState:
@@ -107,6 +117,18 @@ def random_state(rng: np.random.Generator, dims) -> MultipartiteState:
     dims = tuple(int(d) for d in dims)
     vec = _complex_normal(rng, (math.prod(dims),))
     return MultipartiteState(vec / np.linalg.norm(vec), dims)
+
+
+def _frobenius_sq(m: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(m[r]) ** 2`` for each matrix of a complex stack.
+
+    Takes the same two BLAS dots per matrix as ``np.linalg.norm`` (real
+    parts, then imaginary parts), so a row does not depend on the stack.
+    """
+    re = m.real.reshape(len(m), 1, -1)
+    im = m.imag.reshape(len(m), 1, -1)
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[:, 0, 0]) ** 2
 
 
 def _bipartite_dim(state: MultipartiteState) -> int:

@@ -44,7 +44,7 @@ from .multivar import (
     RankOnePoint,
     fd_gradient,
     fd_hessian,
-    g_value,
+    g_value_stack,
     grad_g,
     hessian_g,
     nonconvexity_demo,
@@ -272,7 +272,7 @@ def _check_gradient_fd(seed, bundle_dir):
             beta = -0.5
 
             def fn(v):
-                return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
+                return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
 
             analytic = grad_g(RankOnePoint(w, x, y, z), beta)
             fd = fd_gradient(fn, np.concatenate([w, x]))
@@ -296,7 +296,7 @@ def _check_hessian_fd(seed, bundle_dir):
             worst_sym = max(worst_sym, float(np.max(np.abs(analytic - analytic.T))))
 
             def fn(v):
-                return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
+                return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
 
             fd = fd_hessian(fn, np.concatenate([y, z]))
             rel = float(np.linalg.norm(analytic - fd) / np.linalg.norm(fd))

@@ -22,7 +22,7 @@ from distill_lab.multivar import (
     RankOnePoint,
     fd_gradient,
     fd_hessian,
-    g_value,
+    g_value_stack,
     grad_g,
     hessian_g,
     hessian_spectrum_sweep,
@@ -166,7 +166,7 @@ def test_criterion_06_critical_points_and_gradient():
         beta = -0.5
 
         def fn(v):
-            return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
+            return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
 
         analytic = grad_g(RankOnePoint(w, x, y, z), beta)
         numeric = fd_gradient(fn, np.concatenate([w, x]))
@@ -194,7 +194,7 @@ def test_criterion_07_hessian():
         worst_sym = max(worst_sym, float(np.max(np.abs(analytic - analytic.T))))
 
         def fn(v):
-            return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
+            return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
 
         numeric = fd_hessian(fn, np.concatenate([y, z]))
         worst_rel = max(worst_rel, float(np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)))

@@ -12,6 +12,7 @@ from distill_lab.multivar import (
     fd_gradient,
     fd_hessian,
     g_value,
+    g_value_stack,
     grad_g,
     hessian_g,
     hessian_g_stack,
@@ -102,6 +103,30 @@ class TestGValue:
         assert g_value(RankOnePoint(w, x, y, z), beta) == pytest.approx(expect, abs=1e-12)
 
 
+class TestGValueStack:
+    def test_rows_match_stacks_of_one_bitwise(self):
+        rng = np.random.default_rng(23)
+        for d in (2, 3):
+            n = d * d
+            w, x = rng.standard_normal((2, 11, n))
+            y, z = rng.standard_normal((2, n))
+            stack = g_value_stack(w, x, y, z, -0.4)
+            assert stack.shape == (11,)
+            for s in range(11):
+                assert stack[s] == g_value_stack(w[s : s + 1], x[s : s + 1], y, z, -0.4)[0]
+                assert stack[s] == g_value(RankOnePoint(w[s], x[s], y, z), -0.4)
+
+    def test_column_views_give_the_same_bits(self):
+        # the finite-difference callers pass the two halves of each probe row
+        rng = np.random.default_rng(24)
+        n = 9
+        v = rng.standard_normal((6, 2 * n))
+        y, z = rng.standard_normal((2, n))
+        views = g_value_stack(v[:, :n], v[:, n:], y, z, -0.5)
+        copies = g_value_stack(v[:, :n].copy(), v[:, n:].copy(), y, z, -0.5)
+        assert np.array_equal(views, copies)
+
+
 class TestGradG:
     def test_zero_at_critical_points(self):
         rng = np.random.default_rng(4)
@@ -121,7 +146,7 @@ class TestGradG:
             beta = -0.5
 
             def fn(v):
-                return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
+                return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
 
             analytic = grad_g(RankOnePoint(w, x, y, z), beta)
             numeric = fd_gradient(fn, np.concatenate([w, x]))
@@ -169,7 +194,7 @@ class TestHessianG:
                 analytic = hessian_g(RankOnePoint(y, z, y, z), beta)
 
                 def fn(v):
-                    return g_value(RankOnePoint(v[:n], v[n:], y, z), beta)
+                    return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
 
                 numeric = fd_hessian(fn, np.concatenate([y, z]))
                 rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
@@ -201,6 +226,42 @@ class TestHessianGStack:
         z = rng.standard_normal((5, 16))
         stack = hessian_g_stack(y, z, y, z, -0.5)
         assert np.array_equal(stack, np.swapaxes(stack, -1, -2))
+
+
+class TestFiniteDifferences:
+    """Both routes on the quadratic v -> v^T M v + b^T v, whose gradient is
+    2 M v + b for symmetric M and whose Hessian is 2 M."""
+
+    @staticmethod
+    def quadratic(rng, m):
+        a = rng.standard_normal((m, m))
+        mat = (a + a.T) / 2
+        b = rng.standard_normal(m)
+        calls = []
+
+        def func(v):
+            calls.append(v.shape)
+            return np.einsum("si,ij,sj->s", v, mat, v) + v @ b
+
+        return mat, b, func, calls
+
+    def test_gradient_of_quadratic_in_one_call(self):
+        rng = np.random.default_rng(25)
+        for m in (1, 4, 18):
+            mat, b, func, calls = self.quadratic(rng, m)
+            v = rng.standard_normal(m)
+            grad = fd_gradient(func, v)
+            assert np.allclose(grad, 2 * mat @ v + b, rtol=0, atol=1e-6)
+            assert calls == [(2 * m, m)]
+
+    def test_hessian_of_quadratic_in_one_call(self):
+        rng = np.random.default_rng(26)
+        for m in (1, 4, 18):
+            mat, b, func, calls = self.quadratic(rng, m)
+            hess = fd_hessian(func, rng.standard_normal(m))
+            assert np.allclose(hess, 2 * mat, rtol=0, atol=1e-6)
+            assert np.array_equal(hess, hess.T)
+            assert calls == [(1 + 2 * m + 2 * m * (m - 1), m)]
 
 
 class TestNonconvexityDemo:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from distill_lab.errors import ShapeError
-from distill_lab.linalg import MultipartiteState
+from distill_lab.linalg import MultipartiteState, _complex_normal, _qf
 from distill_lab.schmidt import (
+    OVERLAP_MAX_ITERS,
+    OVERLAP_TOL,
     max_overlap_oracle,
     max_overlap_sr_k,
     psi_iso,
@@ -13,6 +15,26 @@ from distill_lab.schmidt import (
     schmidt_decompose,
 )
 from distill_lab.states import max_entangled_state
+
+
+def serial_overlap_oracle(state, k, restarts, seed):
+    """The ascent oracle one restart at a time: the reference for the stack."""
+    a = psi_iso(state).data
+    d = a.shape[0]
+    best = 0.0
+    for r in range(restarts):
+        q = _qf(_complex_normal(np.random.default_rng((seed, r)), (d, k)))
+        value = 0.0
+        prev = -np.inf
+        for _ in range(OVERLAP_MAX_ITERS):
+            p = _qf(a @ q)
+            q = _qf(a.conj().T @ p)
+            value = float(np.linalg.norm(p.conj().T @ a @ q) ** 2)
+            if value - prev < OVERLAP_TOL:
+                break
+            prev = value
+        best = max(best, value)
+    return best
 
 
 def bell_state():
@@ -134,6 +156,20 @@ class TestMaxOverlapOracle:
                 analytic = max_overlap_sr_k(state, k)
                 found = max_overlap_oracle(state, k, restarts=10, seed=3)
                 assert found <= analytic + 1e-9
+
+    def test_matches_serial_restarts(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4):
+            for k in (1, 2):
+                for seed in range(4):
+                    state = random_state(rng, (d, d))
+                    stacked = max_overlap_oracle(state, k, restarts=20, seed=seed)
+                    assert abs(stacked - serial_overlap_oracle(state, k, 20, seed)) <= 1e-15
+
+    def test_restarts_must_be_positive(self):
+        for restarts in (0, -3):
+            with pytest.raises(ValueError):
+                max_overlap_oracle(bell_state(), 1, restarts=restarts, seed=0)
 
 
 class TestInvariants:
