@@ -21,7 +21,7 @@ from . import __version__
 from .bundles import write_bundle
 from .errors import DistillLabError
 from .iterate import certify_iterate, e_step, initial_iterate, witness_bundle_path
-from .multivar import hessian_spectrum_sweep, nonconvexity_demo, grad_g, RankOnePoint
+from .multivar import hessian_spectrum_sweep, nonconvexity_demo
 from .optimize import (
     DEFAULT_SEED,
     MINIMIZE_SIDE_CAP,
@@ -322,14 +322,7 @@ def _cmd_iterate(args) -> int:
 
 
 def _cmd_demo_nonconvexity(args) -> int:
-    grad, cosine = nonconvexity_demo(args.d, beta=args.beta)
-    n = args.d * args.d
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    e1 = np.zeros(n)
-    e1[1] = 1.0
-    end1 = float(np.max(np.abs(grad_g(RankOnePoint(e1, e1, e1, e1), args.beta))))
-    end2 = float(np.max(np.abs(grad_g(RankOnePoint(e0, e0, e1, e1), args.beta))))
+    grad, cosine, (end1, end2) = nonconvexity_demo(args.d, beta=args.beta)
     print(f"midpoint gradient norm = {_fmt(float(np.linalg.norm(grad)))}")
     print(f"cosine to sparse pattern = {_fmt(cosine)}")
     print(f"endpoint gradient maxima = {_fmt(end1)}, {_fmt(end2)}")

@@ -274,18 +274,21 @@ def check_rank2_inequality(
     d = int(d)
     if rt.dim != d * d:
         raise ShapeError(f"factor vectors of length {rt.dim} do not reshape to {d}x{d}")
-    beta = float(beta)
-    dims = (d, d)
-    x1 = ComplexMatrix(np.outer(rt.u1, rt.v1.conj()), dims, dims)
-    x2 = ComplexMatrix(np.outer(rt.u2, rt.v2.conj()), dims, dims)
-    f11 = f_bilinear(x1, x1, beta).real
-    f22 = f_bilinear(x2, x2, beta).real
-    f12 = f_bilinear(x1, x2, beta).real
+    f11, f22, f12 = _pair_forms(rt, d, float(beta))
     p = 2.0 * (1.0 - f11)
     q = 2.0 * (1.0 - f22)
     r = -4.0 * f12
     slack = _discriminant_slack(p, q, r)
     return slack <= 0.0, float(slack)
+
+
+def _pair_forms(rt: RankTwoFactors, d: int, beta: float):
+    """Real polarized functional ``(f11, f22, f12)`` of the rank-one terms
+    ``x_k = u_k v_k^H`` of a factored point on ``(d, d)``."""
+    dims = (d, d)
+    x1 = ComplexMatrix(np.outer(rt.u1, rt.v1.conj()), dims, dims)
+    x2 = ComplexMatrix(np.outer(rt.u2, rt.v2.conj()), dims, dims)
+    return f_bilinear(x1, x1, beta).real, f_bilinear(x2, x2, beta).real, f_bilinear(x1, x2, beta).real
 
 
 def _discriminant_slack(p, q, r):

@@ -179,7 +179,9 @@ def hessian_g_stack(
     return np.block([[h_ww, h_wx], [_t(h_wx), h_xx]])
 
 
-def nonconvexity_demo(d: int, beta: float = DEFAULT_BETA) -> tuple[np.ndarray, float]:
+def nonconvexity_demo(
+    d: int, beta: float = DEFAULT_BETA
+) -> tuple[np.ndarray, float, tuple[float, float]]:
     """Gradient at the midpoint of two known minima, against the sparse pattern.
 
     The two endpoints put a single unit entry at vector position 1 (both w
@@ -187,7 +189,8 @@ def nonconvexity_demo(d: int, beta: float = DEFAULT_BETA) -> tuple[np.ndarray, f
     unnormalized midpoint has a nonzero gradient parallel to the 0/1 pattern
     with ones at w00, w01, x00, x01 — so the minimum set is not convex.
     Normalizing the midpoint would only rescale the gradient, so it is
-    omitted.  Returns ``(gradient, cosine_to_pattern)``.
+    omitted.  Returns ``(gradient, cosine_to_pattern, endpoint_maxima)``, the
+    last holding the largest absolute gradient entry at each endpoint.
     """
     d = int(d)
     if d < 3:
@@ -206,7 +209,11 @@ def nonconvexity_demo(d: int, beta: float = DEFAULT_BETA) -> tuple[np.ndarray, f
     pattern[[0, 1, n, n + 1]] = 1.0
     denom = float(np.linalg.norm(grad) * np.linalg.norm(pattern))
     cosine = float(grad @ pattern) / denom if denom > 0 else 0.0
-    return grad, cosine
+    ends = tuple(
+        float(np.max(np.abs(grad_g(point, beta))))
+        for point in (RankOnePoint(e1, e1, e1, e1), RankOnePoint(e0, e0, e1, e1))
+    )
+    return grad, cosine, ends
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distill import RankTwoFactors
 from .errors import DimensionLimitError, ShapeError
-from .linalg import ComplexMatrix, _child_seed, _complex_normal, _qf
+from .linalg import ComplexMatrix, _child_seed, _complex_normal, _qf, _trace_slot
 
 # Largest composite side d^n the factored search will handle.
 MINIMIZE_SIDE_CAP = 256
@@ -75,8 +75,8 @@ class SearchConfig:
             raise ShapeError(f"need at least one restart, got {self.restarts}")
         if self.max_iters < 1:
             raise ShapeError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.grad_tol > 0:
-            raise ShapeError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ShapeError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         # d >= 2, so n past log2 of the cap exceeds it without computing d**n.
         if self.n > MINIMIZE_SIDE_CAP.bit_length() - 1 or self.d**self.n > MINIMIZE_SIDE_CAP:
             raise DimensionLimitError(
@@ -126,41 +126,6 @@ class TangentGradient:
         return math.sqrt(self.norm_sq())
 
 
-class _QForm:
-    """Lift of the subset-sum functional on raw arrays, fixed (dims, beta)."""
-
-    def __init__(self, dims: tuple[int, ...], beta: float):
-        self.dims = tuple(int(d) for d in dims)
-        self.n = len(self.dims)
-        self.beta = float(beta)
-        self.size = math.prod(self.dims)
-
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """Self-adjoint map L with <X, L(X)> equal to the functional value.
-
-        L = sum_S beta^|S| I_S (x) Tr_S is the product over slots i of
-        (I + beta * Phi_i) with Phi_i(X) = I_i (x) Tr_i X, since the Phi_i act
-        on distinct slots and commute.  Applying the factors one slot at a
-        time costs n traces instead of 2^n.  ``x`` is (..., side, side); the
-        leading axes are a stack of independent matrices.
-        """
-        n = self.n
-        lead = x.shape[:-2]
-        k = len(lead)
-        t = x.reshape(lead + self.dims + self.dims).copy()
-        for i, d in enumerate(self.dims):
-            # blocks[a, b] is the slice with row index a and column index b in
-            # slot i; whole-slice adds keep numpy's inner loops long.
-            blocks = np.moveaxis(t, (k + i, k + n + i), (0, 1))
-            tr = blocks[0, 0].copy()
-            for c in range(1, d):
-                tr += blocks[c, c]
-            tr *= self.beta
-            for c in range(d):
-                blocks[c, c] += tr
-        return t.reshape(lead + (self.size, self.size))
-
-
 def minimize_q(cfg: SearchConfig) -> SearchReport:
     """Random-restart projected gradient descent on the subset-sum functional.
 
@@ -174,7 +139,7 @@ def minimize_q(cfg: SearchConfig) -> SearchReport:
     """
     start = time.perf_counter()
     seeds = [_child_seed(cfg.seed, i) for i in range(cfg.restarts)]
-    value, theta, frames, iterations, stop = _descend(_QForm(cfg.dims, cfg.beta), cfg, seeds)
+    value, theta, frames, iterations, stop = _descend(cfg, seeds)
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         r = int(bad[0])
@@ -207,7 +172,7 @@ def grad_q(rt: RankTwoFactors, d: int, n: int, beta: float) -> TangentGradient:
     theta = np.array([math.atan2(rt.sigma2, rt.sigma1)])
     _, u, v = rt.stack()
     frames = np.stack([u, v], axis=1)
-    _, gtheta, gframes, _ = _evaluate(_QForm((d,) * n, beta), theta, frames)
+    _, gtheta, gframes, _ = _evaluate((d,) * n, beta, theta, frames)
     return TangentGradient(theta=float(gtheta[0]), u=gframes[0, 0], v=gframes[0, 1])
 
 
@@ -297,19 +262,19 @@ def _sample_blocks(samples: int, side: int):
         yield min(block, samples - start)
 
 
-def _descend(form: _QForm, cfg: SearchConfig, seeds: list[int]):
+def _descend(cfg: SearchConfig, seeds: list[int]):
     """Armijo descent from one random start per seed.
 
     Returns per-restart arrays ``(value, theta, frames, iterations, stop)``,
     ``stop`` indexing ``STOP_REASONS``.  Restarts run in blocks sized by
     ``LIFT_BLOCK_BYTES``; results do not depend on the blocking.
     """
-    block = max(1, LIFT_BLOCK_BYTES // (16 * form.size**2))
-    parts = [_descend_block(form, cfg, seeds[i : i + block]) for i in range(0, len(seeds), block)]
+    block = max(1, LIFT_BLOCK_BYTES // (16 * cfg.side**2))
+    parts = [_descend_block(cfg, seeds[i : i + block]) for i in range(0, len(seeds), block)]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _descend_block(form: _QForm, cfg: SearchConfig, seeds: list[int]):
+def _descend_block(cfg: SearchConfig, seeds: list[int]):
     """Advance a stack of restarts together, one Armijo candidate per live row per round.
 
     Each row keeps its own trial step, backtrack count and stop flag, so it
@@ -317,7 +282,7 @@ def _descend_block(form: _QForm, cfg: SearchConfig, seeds: list[int]):
     point, hands over the value and gradient evaluated with it and doubles
     the trial step (at most 1); a rejected one halves it.
     """
-    size = form.size
+    size = cfg.side
     theta = np.empty(len(seeds))
     raw = np.empty((len(seeds), 2, size, 2), dtype=np.complex128)
     for r, seed in enumerate(seeds):
@@ -326,7 +291,7 @@ def _descend_block(form: _QForm, cfg: SearchConfig, seeds: list[int]):
         raw[r, 0] = _complex_normal(rng, (size, 2))
         raw[r, 1] = _complex_normal(rng, (size, 2))
     frames = _qf(raw)
-    value, gtheta, gframes, gn2 = _evaluate(form, theta, frames)
+    value, gtheta, gframes, gn2 = _evaluate(cfg.dims, cfg.beta, theta, frames)
     step = np.ones(len(seeds))
     iterations = np.zeros(len(seeds), dtype=np.int64)
     backtracks = np.zeros(len(seeds), dtype=np.int64)
@@ -336,7 +301,7 @@ def _descend_block(form: _QForm, cfg: SearchConfig, seeds: list[int]):
         t = step[live]
         cand_theta = theta[live] - t * gtheta[live]
         cand_frames = _qf(frames[live] - t[:, None, None, None] * gframes[live])
-        cand_value, cand_gtheta, cand_gframes, cand_gn2 = _evaluate(form, cand_theta, cand_frames)
+        cand_value, cand_gtheta, cand_gframes, cand_gn2 = _evaluate(cfg.dims, cfg.beta, cand_theta, cand_frames)
         ok = cand_value <= value[live] - ARMIJO_C * t * gn2[live]
         acc = live[ok]
         theta[acc] = cand_theta[ok]
@@ -361,7 +326,7 @@ def _descend_block(form: _QForm, cfg: SearchConfig, seeds: list[int]):
     return value, theta, frames, iterations, stop
 
 
-def _evaluate(form: _QForm, theta: np.ndarray, frames: np.ndarray):
+def _evaluate(dims: tuple[int, ...], beta: float, theta: np.ndarray, frames: np.ndarray):
     """Value, projected gradient and its squared norm at stacked points.
 
     Returns ``(value, gtheta, gframes, gn2)``.
@@ -372,7 +337,7 @@ def _evaluate(form: _QForm, theta: np.ndarray, frames: np.ndarray):
     """
     s = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
     u, v = frames[:, 0], frames[:, 1]
-    y = form.lift((u * s) @ _adjoint(v))
+    y = _lift((u * s) @ _adjoint(v), dims, beta)
     yv = y @ v
     uhy = _adjoint(u) @ y
     a = np.diagonal(uhy @ v, axis1=-2, axis2=-1).real
@@ -383,6 +348,30 @@ def _evaluate(form: _QForm, theta: np.ndarray, frames: np.ndarray):
     gframes = _project_stiefel(frames, euclid)
     gn2 = gtheta**2 + np.sum(gframes.real**2 + gframes.imag**2, axis=(1, 2, 3))
     return value, gtheta, gframes, gn2
+
+
+def _lift(x: np.ndarray, dims: tuple[int, ...], beta: float) -> np.ndarray:
+    """Self-adjoint map L with <X, L(X)> equal to the functional value.
+
+    L = sum_S beta^|S| I_S (x) Tr_S is the product over slots i of
+    (I + beta * Phi_i) with Phi_i(X) = I_i (x) Tr_i X, since the Phi_i act
+    on distinct slots and commute.  Applying the factors one slot at a time
+    costs n traces instead of 2^n.  ``x`` is (..., side, side); the leading
+    axes are a stack of independent matrices.
+    """
+    lead = x.shape[:-2]
+    t = x.copy()
+    for i, d in enumerate(dims):
+        tr = _trace_slot(t, dims, i)[0]
+        tr *= beta
+        # The (pre, d, post, pre, d, post) view _trace_slot reads; beta * Tr_i
+        # goes back onto each diagonal block of slot i.
+        pre, post = math.prod(dims[:i]), math.prod(dims[i + 1 :])
+        blocks = t.reshape(lead + (pre, d, post, pre, d, post))
+        tr = tr.reshape(lead + (pre, post, pre, post))
+        for c in range(d):
+            blocks[..., c, :, :, c, :] += tr
+    return t
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from .bundles import write_bundle
 from .distill import (
     RankTwoFactors,
     _discriminant_slack,
+    _pair_forms,
     _rank_two_from,
     _real_inner,
     assemble_stack,
@@ -166,14 +167,8 @@ def _check_rank_one_pair_scan(seed, bundle_dir):
     cos, sin = np.cos(angles), np.sin(angles)
     agree = True
     for d in (2, 3):
-        dims = (d, d)
         for _ in range(40):
-            rt = random_rank_two(rng, d * d)
-            x1 = ComplexMatrix(np.outer(rt.u1, rt.v1.conj()), dims, dims)
-            x2 = ComplexMatrix(np.outer(rt.u2, rt.v2.conj()), dims, dims)
-            f11 = f_bilinear(x1, x1, -0.5).real
-            f22 = f_bilinear(x2, x2, -0.5).real
-            f12 = f_bilinear(x1, x2, -0.5).real
+            f11, f22, f12 = _pair_forms(random_rank_two(rng, d * d), d, -0.5)
             scan_min = float(np.min(cos**2 * f11 + sin**2 * f22 + 2 * cos * sin * f12))
             cs = f12**2 <= f11 * f22 + 1e-12
             if (scan_min >= -1e-9) != cs:
@@ -306,14 +301,7 @@ def _check_hessian_fd(seed, bundle_dir):
 
 
 def _check_nonconvexity(seed, bundle_dir):
-    grad, cosine = nonconvexity_demo(3)
-    n = 9
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    e1 = np.zeros(n)
-    e1[1] = 1.0
-    end1 = float(np.max(np.abs(grad_g(RankOnePoint(e1, e1, e1, e1), -0.5))))
-    end2 = float(np.max(np.abs(grad_g(RankOnePoint(e0, e0, e1, e1), -0.5))))
+    grad, cosine, (end1, end2) = nonconvexity_demo(3)
     ok = (
         float(np.linalg.norm(grad)) > 1e-6
         and abs(cosine - 1.0) < 1e-8

@@ -206,7 +206,7 @@ def test_criterion_07_hessian():
 
 
 def test_criterion_08_nonconvexity():
-    grad, cosine = nonconvexity_demo(3)
+    grad, cosine, _ = nonconvexity_demo(3)
     n = 9
     e0 = np.zeros(n)
     e0[0] = 1.0

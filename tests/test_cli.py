@@ -39,7 +39,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_objective_is_not_a_result(self, monkeypatch):
         # neither exit 0 ("no violation") nor 3 (witness), and not a usage error
-        monkeypatch.setattr(optimize._QForm, "lift", lambda self, x: x * float("nan"))
+        monkeypatch.setattr(optimize, "_lift", lambda x, dims, beta: x * float("nan"))
         with pytest.raises(FloatingPointError, match="non-finite"):
             run(SEEDED["minimize"])
 
@@ -121,6 +121,13 @@ class TestMinimize:
         argv = ["minimize", "--d", "2", "--n", "1", "--beta", "-0.3", "--max-iters", max_iters]
         assert run(argv) == 2
         assert "max_iters must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grad_tol", ["inf", "nan", "0", "-1"])
+    def test_bad_grad_tol_exits_two(self, grad_tol, capsys):
+        # an infinite tolerance would stop every restart at its start
+        argv = ["minimize", "--d", "3", "--n", "2", "--beta", "-0.6", "--grad-tol", grad_tol]
+        assert run(argv) == 2
+        assert "grad_tol must be positive and finite" in capsys.readouterr().err
 
     def test_threads_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:

@@ -266,18 +266,22 @@ class TestFiniteDifferences:
 
 class TestNonconvexityDemo:
     def test_midpoint_gradient_parallels_pattern(self):
-        grad, cosine = nonconvexity_demo(3)
+        grad, cosine, _ = nonconvexity_demo(3)
         assert np.linalg.norm(grad) > 1e-6
         assert cosine == pytest.approx(1.0, abs=1e-8)
 
     def test_endpoints_are_critical(self):
         n = 9
         e0, e1 = unit(n, 0), unit(n, 1)
-        assert np.max(np.abs(grad_g(RankOnePoint(e1, e1, e1, e1), -0.5))) < 1e-10
-        assert np.max(np.abs(grad_g(RankOnePoint(e0, e0, e1, e1), -0.5))) < 1e-10
+        ends = [
+            float(np.max(np.abs(grad_g(point, -0.5))))
+            for point in (RankOnePoint(e1, e1, e1, e1), RankOnePoint(e0, e0, e1, e1))
+        ]
+        assert max(ends) < 1e-10
+        assert nonconvexity_demo(3)[2] == tuple(ends)
 
     def test_larger_dimension_same_outcome(self):
-        grad, cosine = nonconvexity_demo(4)
+        grad, cosine, _ = nonconvexity_demo(4)
         assert np.linalg.norm(grad) > 1e-6
         assert cosine == pytest.approx(1.0, abs=1e-8)
 

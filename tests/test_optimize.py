@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distill_lab.distill import RankTwoFactors, f_bilinear, q_functional
+from distill_lab import optimize
+from distill_lab.distill import (
+    RankTwoFactors,
+    f_bilinear,
+    q_functional,
+    random_rank_two,
+    sandwich_evaluator,
+)
 from distill_lab.errors import DimensionLimitError, ShapeError
-from distill_lab.linalg import ComplexMatrix, _child_seed, _qf
+from distill_lab.linalg import ComplexMatrix, MultipartiteState, _child_seed, _qf
 from distill_lab.optimize import (
     ARMIJO_C,
     ARMIJO_FACTOR,
@@ -17,14 +24,15 @@ from distill_lab.optimize import (
     SearchConfig,
     _descend,
     _evaluate,
+    _lift,
     _project_stiefel,
-    _QForm,
     grad_q,
     minimize_q,
     report_from_json,
     report_to_json,
     witness_tensor,
 )
+from distill_lab.states import WernerParams
 
 
 @st.composite
@@ -50,21 +58,21 @@ def assemble(theta, u, v):
     )
 
 
-def form_value(form, x):
-    return float(np.vdot(x, form.lift(x)).real)
+def form_value(x, dims, beta):
+    return float(np.vdot(x, _lift(x, dims, beta)).real)
 
 
-def serial_descent(form, cfg, seed):
+def serial_descent(cfg, seed):
     """One restart of the search written serially on 2-D arrays: the
     reference for the stacked loop.  Returns (value, iterations, stop_reason)."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, math.pi / 2.0)
-    u = _qf(rng.standard_normal((form.size, 2)) + 1j * rng.standard_normal((form.size, 2)))
-    v = _qf(rng.standard_normal((form.size, 2)) + 1j * rng.standard_normal((form.size, 2)))
+    u = _qf(rng.standard_normal((cfg.side, 2)) + 1j * rng.standard_normal((cfg.side, 2)))
+    v = _qf(rng.standard_normal((cfg.side, 2)) + 1j * rng.standard_normal((cfg.side, 2)))
 
     def evaluate(theta, u, v):
         x = assemble(theta, u, v)
-        y = form.lift(x)
+        y = _lift(x, cfg.dims, cfg.beta)
         s1, s2 = math.cos(theta), math.sin(theta)
         yv, yhu = y @ v, y.conj().T @ u
         gtheta = 2.0 * (-s2 * np.vdot(u[:, 0], yv[:, 0]) + s1 * np.vdot(u[:, 1], yv[:, 1])).real
@@ -97,20 +105,18 @@ class TestQForm:
         for dims in ((2, 2), (3,), (2, 2, 2)):
             size = int(np.prod(dims))
             raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            form = _QForm(dims, -0.5)
             public = q_functional(ComplexMatrix(raw, dims, dims), -0.5)
-            assert form_value(form, raw) == pytest.approx(public, abs=1e-12)
+            assert form_value(raw, dims, -0.5) == pytest.approx(public, abs=1e-12)
 
     def test_lift_is_self_adjoint_pairing(self):
         rng = np.random.default_rng(43)
         # three or more slots exercise non-involutive slot reorderings
         for dims in ((2, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)):
             size = int(np.prod(dims))
-            form = _QForm(dims, -0.5)
             x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-            lhs = np.vdot(x, form.lift(y))
-            rhs = np.vdot(form.lift(x), y)
+            lhs = np.vdot(x, _lift(y, dims, -0.5))
+            rhs = np.vdot(_lift(x, dims, -0.5), y)
             assert lhs == pytest.approx(rhs, abs=1e-11)
 
     @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2)])
@@ -118,11 +124,24 @@ class TestQForm:
         rng = np.random.default_rng(44)
         size = int(np.prod(dims))
         for beta in (-0.5, -1.0, 0.7):
-            form = _QForm(dims, beta)
             x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             public = f_bilinear(ComplexMatrix(x, dims, dims), ComplexMatrix(y, dims, dims), beta)
-            assert np.vdot(x, form.lift(y)) == pytest.approx(public, abs=1e-11)
+            assert np.vdot(x, _lift(y, dims, beta)) == pytest.approx(public, abs=1e-11)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("beta", [-0.5, -0.25, 0.3])
+    def test_value_matches_sandwich_operator(self, d, n, beta):
+        # the sandwich operator is built by kron and permutation alone, so it
+        # checks the lift by a route that takes no partial trace
+        rng = np.random.default_rng(47)
+        dims = (d,) * n
+        params = WernerParams(d, beta)
+        for _ in range(5):
+            x = random_rank_two(rng, d**n).assemble()
+            psi = MultipartiteState(x.reshape(-1), (d,) * (2 * n))
+            sandwich = sandwich_evaluator(psi, params, n) * params.normalization**n
+            assert form_value(x, dims, beta) == pytest.approx(sandwich, rel=1e-12, abs=0)
 
     @settings(max_examples=60, deadline=None)
     @given(slot_dims(), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1))
@@ -134,24 +153,23 @@ class TestQForm:
         public = q_functional(ComplexMatrix(x, dims, dims), beta)
         # |value| <= prod(1 + |beta| d_i) for unit x; allow rounding on that scale
         scale = math.prod(1.0 + abs(beta) * d for d in dims)
-        assert form_value(_QForm(dims, beta), x) == pytest.approx(public, abs=1e-13 * scale)
+        assert form_value(x, dims, beta) == pytest.approx(public, abs=1e-13 * scale)
 
     def test_reused_lift_gives_the_fresh_gradient(self):
         # A restart carries the value and gradient evaluated with its accepted
         # candidate into the next step.  So each step must be an exact
         # retraction, by a power of two, along the fresh gradient at the point
         # the step left.
-        form = _QForm((2, 2, 2), -0.6)
         seeds = [45, 46, 47]
         steps = [2.0**-j for j in range(61)]
         capped = STOP_REASONS.index("max_iters")
-        before = _descend(form, SearchConfig(d=2, n=3, beta=-0.6, max_iters=1), seeds)
+        before = _descend(SearchConfig(d=2, n=3, beta=-0.6, max_iters=1), seeds)
         for k in range(2, 7):
-            after = _descend(form, SearchConfig(d=2, n=3, beta=-0.6, max_iters=k), seeds)
+            after = _descend(SearchConfig(d=2, n=3, beta=-0.6, max_iters=k), seeds)
             value, theta, frames, _, stop = before
             assert list(stop) == [capped] * len(seeds)
             for r in range(len(seeds)):
-                fresh_value, gtheta, gframes, _ = _evaluate(form, theta[r : r + 1], frames[r : r + 1])
+                fresh_value, gtheta, gframes, _ = _evaluate((2, 2, 2), -0.6, theta[r : r + 1], frames[r : r + 1])
                 assert fresh_value[0] == value[r]
                 assert any(
                     theta[r] - t * gtheta[0] == after[1][r]
@@ -163,18 +181,17 @@ class TestQForm:
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3, 2)])
     def test_stacked_evaluation_matches_each_point_alone(self, dims):
         size = math.prod(dims)
-        form = _QForm(dims, -0.7)
         rng = np.random.default_rng(46)
         theta = rng.uniform(0.0, math.pi / 2.0, 5)
         raw = rng.standard_normal((5, 2, size, 2)) + 1j * rng.standard_normal((5, 2, size, 2))
         frames = _qf(raw)
         x = np.stack([assemble(t, f[0], f[1]) for t, f in zip(theta, frames)])
-        lifts = form.lift(x)
-        stacked = _evaluate(form, theta, frames)
+        lifts = _lift(x, dims, -0.7)
+        stacked = _evaluate(dims, -0.7, theta, frames)
         for r in range(5):
-            assert np.array_equal(lifts[r], form.lift(x[r]))
+            assert np.array_equal(lifts[r], _lift(x[r], dims, -0.7))
             assert np.array_equal(frames[r, 1], _qf(raw[r, 1]))
-            alone = _evaluate(form, theta[r : r + 1], frames[r : r + 1])
+            alone = _evaluate(dims, -0.7, theta[r : r + 1], frames[r : r + 1])
             for whole, single in zip(stacked, alone):
                 assert np.array_equal(whole[r], single[0])
             public = q_functional(ComplexMatrix(x[r], dims, dims), -0.7)
@@ -191,6 +208,8 @@ class TestSearchConfig:
             SearchConfig(d=2, n=1, beta=-0.5, restarts=0)
         with pytest.raises(ShapeError):
             SearchConfig(d=2, n=1, beta=-0.5, grad_tol=0.0)
+        with pytest.raises(ShapeError, match="grad_tol"):
+            SearchConfig(d=2, n=1, beta=-0.5, grad_tol=math.inf)
         with pytest.raises(ShapeError, match="max_iters"):
             SearchConfig(d=2, n=1, beta=-0.5, max_iters=0)
 
@@ -282,9 +301,8 @@ class TestMinimizeQ:
         # the stacked loop regroups the arithmetic, so values agree to
         # rounding while every restart takes the same steps and stops alike
         cfg = SearchConfig(d=d, n=n, beta=beta, restarts=6, max_iters=max_iters, seed=116)
-        form = _QForm(cfg.dims, cfg.beta)
         for record in minimize_q(cfg).per_restart:
-            value, iterations, stop_reason = serial_descent(form, cfg, record.seed)
+            value, iterations, stop_reason = serial_descent(cfg, record.seed)
             assert record.final_value == pytest.approx(value, abs=1e-12)
             assert (record.iterations, record.stop_reason) == (iterations, stop_reason)
 
@@ -292,7 +310,7 @@ class TestMinimizeQ:
         cfg = SearchConfig(d=2, n=2, beta=-0.5, restarts=3, seed=111)
         report = minimize_q(cfg)
         record = report.per_restart[1]
-        value, _, _, iters, stop = _descend(_QForm(cfg.dims, cfg.beta), cfg, [record.seed])
+        value, _, _, iters, stop = _descend(cfg, [record.seed])
         assert float(value[0]) == record.final_value
         assert int(iters[0]) == record.iterations
         assert STOP_REASONS[stop[0]] == record.stop_reason
@@ -326,7 +344,7 @@ class TestMinimizeQ:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_value_raises_with_its_seed(self, monkeypatch):
-        monkeypatch.setattr(_QForm, "lift", lambda self, x: x * np.nan)
+        monkeypatch.setattr(optimize, "_lift", lambda x, dims, beta: x * np.nan)
         cfg = SearchConfig(d=2, n=1, beta=-0.3, restarts=3, seed=115)
         with pytest.raises(FloatingPointError, match=rf"restart 0 \(seed {_child_seed(115, 0)}\)"):
             minimize_q(cfg)
@@ -338,17 +356,13 @@ class TestGradQ:
 
     def test_beta_zero_gradient_vanishes(self):
         rng = np.random.default_rng(0)
-        from distill_lab.distill import random_rank_two
-
         rt = random_rank_two(rng, 4)
         assert grad_q(rt, 2, 2, 0.0).norm() < 1e-12
 
     @pytest.mark.parametrize("n_slots", [2, 3])
     def test_directional_derivative_matches_finite_differences(self, n_slots):
         rng = np.random.default_rng(1)
-        from distill_lab.distill import random_rank_two
-
-        form = _QForm((2,) * n_slots, -0.5)
+        dims = (2,) * n_slots
         for _ in range(10):
             rt = random_rank_two(rng, 2**n_slots)
             theta = math.atan2(rt.sigma2, rt.sigma1)
@@ -363,7 +377,8 @@ class TestGradQ:
 
             def retracted_value(h):
                 # QR retraction, as the descent steps use
-                return form_value(form, assemble(theta + h * dtheta, _qf(u + h * du), _qf(v + h * dv)))
+                x = assemble(theta + h * dtheta, _qf(u + h * du), _qf(v + h * dv))
+                return form_value(x, dims, -0.5)
 
             up = retracted_value(eps)
             down = retracted_value(-eps)
@@ -377,8 +392,6 @@ class TestGradQ:
 
     def test_length_validation(self):
         rng = np.random.default_rng(2)
-        from distill_lab.distill import random_rank_two
-
         rt = random_rank_two(rng, 4)
         with pytest.raises(ShapeError):
             grad_q(rt, 3, 1, -0.5)
