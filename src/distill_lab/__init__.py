@@ -24,12 +24,10 @@ from .linalg import (
     MultipartiteState,
     SubsystemPermutation,
     kron,
-    min_eigenvalue_hermitian,
     partial_trace,
     partial_transpose,
     permutation_matrix,
     permute_subsystems,
-    svd,
 )
 from .multivar import (
     RankOnePoint,
@@ -60,7 +58,6 @@ from .states import (
     ge_operator,
     max_entangled_state,
     swap_operator,
-    thresholds,
     werner_partial_transpose,
     werner_state,
 )
@@ -104,7 +101,6 @@ __all__ = [
     "max_overlap_oracle",
     "max_overlap_sr_k",
     "merge_operator",
-    "min_eigenvalue_hermitian",
     "minimize_q",
     "nonconvexity_demo",
     "partial_trace",
@@ -120,9 +116,7 @@ __all__ = [
     "run_suite",
     "sandwich_evaluator",
     "schmidt_decompose",
-    "svd",
     "swap_operator",
-    "thresholds",
     "werner_partial_transpose",
     "werner_state",
     "write_bundle",

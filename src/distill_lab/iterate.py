@@ -23,6 +23,7 @@ from .linalg import (
     ComplexMatrix,
     SubsystemPermutation,
     kron,
+    partial_transpose,
     permute_subsystems,
 )
 from .optimize import DEFAULT_SEED, SearchConfig, minimize_q
@@ -149,6 +150,4 @@ def witness_bundle_path(bundle_dir: "Path | str", k: int, seed: int) -> Path:
 
 def iterate_partial_transpose(s: IterateState) -> ComplexMatrix:
     """Partial transpose over the merged A part (slot 0)."""
-    from .linalg import partial_transpose
-
     return partial_transpose(s.matrix, 0)

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionLimitError, ShapeError, SymmetryError
+from .errors import DimensionLimitError, ShapeError
 
 # Per-side cap on composite dimensions; guards against accidental blowup of
 # repeated tensor powers.
@@ -108,9 +108,6 @@ class MultipartiteState:
         object.__setattr__(self, "amplitudes", vec)
         object.__setattr__(self, "dims", dims)
 
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.dims)
-
 
 @dataclass(frozen=True)
 class SubsystemPermutation:
@@ -128,11 +125,6 @@ class SubsystemPermutation:
             raise ShapeError(f"perm must be a bijection on 0..{len(dims) - 1}, got {perm}")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "dims", dims)
-
-    def inverse(self) -> "SubsystemPermutation":
-        inv = np.argsort(self.perm)
-        new_dims = tuple(self.dims[a] for a in inv)
-        return SubsystemPermutation(tuple(int(i) for i in inv), new_dims)
 
     def target_dims(self) -> tuple[int, ...]:
         inv = np.argsort(self.perm)
@@ -210,35 +202,24 @@ def partial_transpose(m: ComplexMatrix, subsystem: int) -> ComplexMatrix:
     return ComplexMatrix(t.reshape(m.rows, m.cols), m.row_dims, m.col_dims)
 
 
-def permute_subsystems(obj, p: SubsystemPermutation):
-    """Relabel composite indices of a state or matrix by ``p``.
+def permute_subsystems(m: ComplexMatrix, p: SubsystemPermutation) -> ComplexMatrix:
+    """Relabel the composite row and column indices of a matrix by ``p``.
 
-    Pure index bookkeeping: preserves the Euclidean/Frobenius norm exactly
-    and equals conjugation by ``permutation_matrix(p)`` on small instances.
-    Column-vector matrices (``col_dims == (1,)``) are permuted on rows only.
+    Pure index bookkeeping: preserves the Frobenius norm exactly and equals
+    conjugation by ``permutation_matrix(p)`` on small instances.
     """
+    if not isinstance(m, ComplexMatrix):
+        raise TypeError(f"cannot permute object of type {type(m).__name__}")
+    if m.row_dims != p.dims or m.col_dims != p.dims:
+        raise ShapeError(
+            f"matrix dims {m.row_dims}/{m.col_dims} do not match permutation dims {p.dims}"
+        )
     axes = tuple(int(a) for a in np.argsort(p.perm))
+    n = len(p.dims)
     new_dims = p.target_dims()
-    if isinstance(obj, MultipartiteState):
-        if obj.dims != p.dims:
-            raise ShapeError(f"state dims {obj.dims} do not match permutation dims {p.dims}")
-        out = np.transpose(obj.as_tensor(), axes).reshape(-1)
-        return MultipartiteState(out, new_dims)
-    if isinstance(obj, ComplexMatrix):
-        if obj.col_dims == (1,) and obj.row_dims == p.dims:
-            t = obj.data.reshape(p.dims)
-            out = np.transpose(t, axes).reshape(-1, 1)
-            return ComplexMatrix(out, new_dims, (1,))
-        if obj.row_dims != p.dims or obj.col_dims != p.dims:
-            raise ShapeError(
-                f"matrix dims {obj.row_dims}/{obj.col_dims} do not match permutation dims {p.dims}"
-            )
-        n = len(p.dims)
-        full_axes = axes + tuple(a + n for a in axes)
-        t = np.transpose(obj.as_tensor(), full_axes)
-        size = math.prod(new_dims)
-        return ComplexMatrix(t.reshape(size, size), new_dims, new_dims)
-    raise TypeError(f"cannot permute object of type {type(obj).__name__}")
+    t = np.transpose(m.as_tensor(), axes + tuple(a + n for a in axes))
+    size = math.prod(new_dims)
+    return ComplexMatrix(t.reshape(size, size), new_dims, new_dims)
 
 
 def permutation_matrix(p: SubsystemPermutation) -> ComplexMatrix:
@@ -256,27 +237,6 @@ def permutation_matrix(p: SubsystemPermutation) -> ComplexMatrix:
         dest = sum(int(strides_new[p.perm[k]]) * idx[k] for k in range(len(idx)))
         mat[dest, src] = 1.0
     return ComplexMatrix(mat, new_dims, p.dims)
-
-
-def svd(m: ComplexMatrix):
-    """Singular value decomposition.
-
-    Returns ``(s, left, right)`` with ``s`` descending and
-    ``m.data == left @ diag(s) @ right.conj().T``.
-    """
-    u, s, vh = np.linalg.svd(m.data, full_matrices=False)
-    return s, u, vh.conj().T
-
-
-def min_eigenvalue_hermitian(m: ComplexMatrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix; rejects non-Hermitian input."""
-    dev = float(np.max(np.abs(m.data - m.data.conj().T))) if m.rows else 0.0
-    scale = max(1.0, float(np.max(np.abs(m.data))) if m.data.size else 0.0)
-    if m.rows != m.cols or dev > HERMITICITY_TOL * scale:
-        raise SymmetryError(
-            f"matrix is not Hermitian within {HERMITICITY_TOL} (max deviation {dev:.3e})"
-        )
-    return float(np.linalg.eigvalsh(m.data)[0])
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:

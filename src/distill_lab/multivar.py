@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bundles import Bundle, write_bundle
 from .errors import DimensionLimitError, ShapeError
 from .linalg import DEFAULT_DIM_CAP, _child_seed
 from .optimize import _sample_blocks
@@ -266,8 +267,6 @@ def hessian_spectrum_sweep(
         min_eigs = np.linalg.eigvalsh(hessian_g_stack(y, z, y, z, beta))[:, 0]
         for r, (child, min_eig) in enumerate(zip(seeds, min_eigs.tolist())):
             if min_eig < HESSIAN_FINDING_THRESHOLD and bundle_dir is not None:
-                from .bundles import Bundle, write_bundle
-
                 bundle = Bundle(
                     kind="hessian-counterexample",
                     params={

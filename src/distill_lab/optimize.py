@@ -239,6 +239,9 @@ def report_from_json(data: dict) -> SearchReport:
     )
     if len(records) != cfg.restarts:
         raise ShapeError(f"{len(records)} per-restart records for {cfg.restarts} restarts")
+    for r in records:
+        if r.stop_reason is not None and r.stop_reason not in STOP_REASONS:
+            raise ShapeError(f"unknown stop_reason {r.stop_reason!r}, expected one of {STOP_REASONS}")
     return SearchReport(
         config=cfg,
         best_value=float(data["best_value"]),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import ComplexMatrix, MultipartiteState, _complex_normal, _qf, svd
+from .linalg import ComplexMatrix, MultipartiteState, _complex_normal, _qf
 
 # Relative cutoff separating genuine rank from double-precision noise.
 RANK_TOL = 1e-9
@@ -48,10 +48,9 @@ def schmidt_decompose(state: MultipartiteState) -> SchmidtData:
 
     The state reconstructs as ``sum_k c_k * kron(left[:, k], right[:, k])``.
     """
-    mat = psi_iso(state)
-    s, u, v = svd(mat)
+    u, s, vh = np.linalg.svd(psi_iso(state).data, full_matrices=False)
     rank = int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-    return SchmidtData(coefficients=s, left_basis=u, right_basis=v.conj(), rank=rank)
+    return SchmidtData(coefficients=s, left_basis=u, right_basis=vh.T, rank=rank)
 
 
 def max_overlap_sr_k(state: MultipartiteState, k: int) -> float:
@@ -63,7 +62,9 @@ def max_overlap_sr_k(state: MultipartiteState, k: int) -> float:
     k = int(k)
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in 1..{d}, got {k}")
-    s, _, _ = svd(psi_iso(state))
+    # u and v are computed though unused: the values-only SVD takes another
+    # LAPACK path, whose values may differ in the last bits.
+    _, s, _ = np.linalg.svd(psi_iso(state).data, full_matrices=False)
     return float(np.sum(s[:k] ** 2))
 
 

@@ -1,4 +1,4 @@
-"""Werner-family states, their partial transposes, and undistillability thresholds."""
+"""Werner-family states, their partial transposes, and the copy-count root bound."""
 
 from __future__ import annotations
 
@@ -88,20 +88,6 @@ def werner_partial_transpose(p: WernerParams) -> ComplexMatrix:
     g = ge_operator(d).data
     rho = (np.eye(d * d, dtype=np.complex128) + p.beta * g) / p.normalization
     return ComplexMatrix(rho, (d, d), (d, d))
-
-
-def thresholds(d: int) -> tuple[float, float]:
-    """Per-dimension beta thresholds ``(one_undistill_beta, npt_beta)``.
-
-    The state is single-copy undistillable iff beta >= -1/2 (closed endpoint)
-    and has a negative partial transpose iff beta < -1/d (open endpoint).
-    The window [-1/2, -1/d) of NPT-yet-undistillable parameters is nonempty
-    iff d > 2.
-    """
-    d = int(d)
-    if d < 2:
-        raise ShapeError(f"local dimension must be >= 2, got {d}")
-    return (-0.5, -1.0 / d)
 
 
 def beta_bound(n: int, tol: float = 1e-12) -> float:

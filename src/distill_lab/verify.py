@@ -39,6 +39,7 @@ from .linalg import (
     MultipartiteState,
     SubsystemPermutation,
     _child_seed,
+    partial_trace,
     permutation_matrix,
 )
 from .multivar import (
@@ -128,8 +129,6 @@ def _check_pqr_identity(seed, bundle_dir):
             p, q, r = pqr(rt, d)
             lhs = rt.sigma1**2 * p + rt.sigma2**2 * q + rt.sigma1 * rt.sigma2 * r
             xm = rt.to_matrix((d, d))
-            from .linalg import partial_trace
-
             tr1 = partial_trace(xm, [0]).data
             tr2 = partial_trace(xm, [1]).data
             tr = np.trace(xm.data)

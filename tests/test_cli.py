@@ -1,4 +1,8 @@
 import json
+import platform
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -18,6 +22,33 @@ SEEDED = {
     "hessian": ["hessian", "--d", "2", "--samples", "1"],
     "iterate": ["iterate", "--d", "2", "--k", "0", "--beta", "-0.3"],
 }
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are glibc's")
+def test_freed_heap_is_reused_without_page_faults(tmp_path):
+    # Three 1 MiB arrays freed at the heap top exceed glibc's dynamic trim
+    # threshold, so without fixed thresholds each round faults them in anew.
+    script = textwrap.dedent(
+        f"""
+        import resource
+        import numpy as np
+        from distill_lab import cli
+
+        cli.main(["bound", "--n", "1", "--out", {str(tmp_path / "bound.csv")!r}])
+
+        def churn():
+            arrays = [np.ones((256, 256), dtype=np.complex128) for _ in range(3)]
+            del arrays
+
+        churn()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            churn()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert int(out.stdout.split()[-1]) < 100
 
 
 class TestExitCodes:
@@ -185,10 +216,17 @@ class TestVerify:
         assert run(["verify", "--suite", "report"]) == 2
 
     @pytest.mark.parametrize(
-        "content", [None, "not json", "[]", '{"report": {"best_value": 0.5}}']
+        "content",
+        [None, "not json", "[]", '{"report": {"best_value": 0.5}}', "stop_reason=bogus"],
     )
     def test_unloadable_report_exits_two(self, content, tmp_path, capsys):
         path = tmp_path / "report.json"
+        if content == "stop_reason=bogus":
+            run(["minimize", "--d", "2", "--n", "1", "--beta", "-0.3", "--restarts", "2", "--out", str(path)])
+            payload = json.loads(path.read_text())
+            payload["report"]["per_restart"][1]["stop_reason"] = "bogus"
+            content = json.dumps(payload)
+            capsys.readouterr()
         if content is not None:
             path.write_text(content)
         assert run(["verify", "--suite", "report", "--in", str(path)]) == 2
@@ -275,6 +313,12 @@ class TestIterate:
         assert run(["iterate", "--d", "3", "--k", "24", "--beta", "-0.25"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "needs factor length 3^(2^24) > 256" in capsys.readouterr().err
+
+    def test_bad_search_settings_exit_two_before_any_step(self, capsys):
+        assert run(["iterate", "--d", "2", "--k", "1", "--beta", "-0.25", "--restarts", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "step" not in captured.out
+        assert "need at least one restart" in captured.err
 
     def test_unmaterialized_side_writes_witness_bundle(self, tmp_path, capsys):
         code = run(

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distill_lab.errors import DimensionLimitError, ShapeError, SymmetryError
+from distill_lab.errors import DimensionLimitError, ShapeError
 from distill_lab.linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
     kron,
-    min_eigenvalue_hermitian,
     partial_trace,
     partial_transpose,
     permutation_matrix,
     permute_subsystems,
-    svd,
 )
 from distill_lab.states import WernerParams, ge_operator, swap_operator, werner_partial_transpose
 
@@ -193,23 +191,22 @@ class TestPermuteSubsystems:
         # distinct dims catch axis-order mistakes that involutions hide
         rng = np.random.default_rng(10)
         dims = (2, 3, 4)
-        vec = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-        vec /= np.linalg.norm(vec)
-        state = MultipartiteState(vec, dims)
+        m = random_matrix(rng, dims)
         p = SubsystemPermutation((1, 2, 0), dims)
-        out = permute_subsystems(state, p)
-        assert out.dims == (4, 2, 3)
-        assert np.allclose(out.amplitudes, permutation_matrix(p).data @ vec)
+        out = permute_subsystems(m, p)
+        assert out.row_dims == out.col_dims == (4, 2, 3)
+        mat = permutation_matrix(p).data
+        assert np.allclose(out.data, mat @ m.data @ mat.conj().T, atol=1e-14)
 
     def test_inverse_composition_roundtrip(self):
         rng = np.random.default_rng(11)
         dims = (2, 2, 3)
-        vec = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        vec /= np.linalg.norm(vec)
-        state = MultipartiteState(vec, dims)
+        m = random_matrix(rng, dims)
         p = SubsystemPermutation((2, 0, 1), dims)
-        back = permute_subsystems(permute_subsystems(state, p), p.inverse())
-        assert np.array_equal(back.amplitudes, state.amplitudes)
+        out = permute_subsystems(m, p)
+        back = permute_subsystems(out, SubsystemPermutation(np.argsort(p.perm), out.row_dims))
+        assert back.row_dims == dims
+        assert np.array_equal(back.data, m.data)
 
     def test_norm_preserved_exactly(self):
         rng = np.random.default_rng(12)
@@ -218,65 +215,23 @@ class TestPermuteSubsystems:
         out = permute_subsystems(m, p)
         assert np.linalg.norm(out.data) == np.linalg.norm(m.data)
 
-    def test_column_vector_matrix(self):
-        rng = np.random.default_rng(13)
-        vec = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
-        m = ComplexMatrix(vec, (2, 3), (1,))
-        p = SubsystemPermutation((1, 0), (2, 3))
-        out = permute_subsystems(m, p)
-        assert out.row_dims == (3, 2)
-        assert np.allclose(out.data, permutation_matrix(p).data @ vec)
-
     def test_dims_mismatch(self):
         m = ComplexMatrix.identity((2, 2))
         with pytest.raises(ShapeError):
             permute_subsystems(m, SubsystemPermutation((0, 1), (2, 3)))
 
+    @pytest.mark.parametrize("kind", ["array", "state"])
+    def test_rejects_non_matrix(self, kind):
+        p = SubsystemPermutation((1, 0), (2, 2))
+        obj = np.eye(4)
+        if kind == "state":
+            obj = MultipartiteState(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
+        with pytest.raises(TypeError):
+            permute_subsystems(obj, p)
+
     def test_perm_must_be_bijection(self):
         with pytest.raises(ShapeError):
             SubsystemPermutation((0, 0), (2, 2))
-
-
-class TestSvd:
-    def test_identity_singular_values(self):
-        s, _, _ = svd(ComplexMatrix.identity((2,)))
-        assert np.allclose(s, [1.0, 1.0])
-
-    def test_rank_one(self):
-        w = np.array([1.0, 2.0, 2.0])
-        x = np.array([3.0, 4.0])
-        m = ComplexMatrix(np.outer(w, x), (3,), (2,))
-        s, _, _ = svd(m)
-        assert abs(s[0] - np.linalg.norm(w) * np.linalg.norm(x)) < 1e-12
-        assert s[1] < 1e-12
-
-    def test_reconstruction_on_random_matrices(self):
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            m = random_matrix(rng, (3, 3))
-            s, u, v = svd(m)
-            recon = (u * s) @ v.conj().T
-            assert np.linalg.norm(recon - m.data) < 1e-10
-            assert np.all(np.diff(s) <= 0)
-
-
-class TestMinEigenvalueHermitian:
-    def test_identity(self):
-        assert min_eigenvalue_hermitian(ComplexMatrix.identity((3,))) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        m = ComplexMatrix(np.diag([-2.0, 5.0]), (2,), (2,))
-        assert min_eigenvalue_hermitian(m) == pytest.approx(-2.0)
-
-    def test_werner_npt_region(self):
-        # beta below -1/d has a negative partial transpose
-        val = min_eigenvalue_hermitian(werner_partial_transpose(WernerParams(3, -0.5)))
-        assert val < 0
-
-    def test_rejects_non_hermitian(self):
-        m = ComplexMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,), (2,))
-        with pytest.raises(SymmetryError):
-            min_eigenvalue_hermitian(m)
 
 
 @st.composite
