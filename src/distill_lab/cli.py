@@ -22,11 +22,10 @@ import numpy as np
 from . import __version__
 from .bundles import write_bundle
 from .errors import DistillLabError
-from .iterate import certify_iterate, e_step, initial_iterate, witness_bundle_path
+from .iterate import certify_config, certify_iterate, e_step, initial_iterate, witness_bundle_path
 from .multivar import hessian_spectrum_sweep, nonconvexity_demo
 from .optimize import (
     DEFAULT_SEED,
-    MINIMIZE_SIDE_CAP,
     SearchConfig,
     minimize_q,
     report_from_json,
@@ -34,7 +33,7 @@ from .optimize import (
 )
 from .distill import q_functional
 from .states import WernerParams, beta_bound
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 VIOLATION_TOL = 1e-8
 
@@ -106,11 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the named invariant suite")
-    p.add_argument(
-        "--suite",
-        choices=("all", "equivalence", "schmidt", "multivar", "iterate", "lemmas", "report"),
-        default="all",
-    )
+    p.add_argument("--suite", choices=("all", *SUITES, "report"), default="all")
     p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--in", dest="infile", type=Path, default=None, help="report file for --suite report")
     p.add_argument("--bundle-dir", type=Path, default=Path("."))
@@ -303,20 +298,8 @@ def _cmd_hessian(args) -> int:
 
 def _cmd_iterate(args) -> int:
     params = WernerParams(args.d, args.beta)
-    if args.k < 0:
-        print(f"error: --k must be >= 0, got {args.k}", file=sys.stderr)
-        return 2
-    # d >= 2, so k > 3 means at least 2^16 > 256: reject before computing d^(2^k).
-    if args.k > 3 or args.d ** (2**args.k) > MINIMIZE_SIDE_CAP:
-        print(
-            f"error: certification at k={args.k} needs factor length {args.d}^(2^{args.k})"
-            f" > {MINIMIZE_SIDE_CAP}",
-            file=sys.stderr,
-        )
-        return 2
-    copies = 2**args.k
     # Validate the search settings before the materialized steps spend time and memory.
-    cfg = SearchConfig(d=args.d, n=copies, beta=args.beta, restarts=args.restarts, seed=args.seed)
+    cfg = certify_config(params, args.k, args.restarts, args.seed)
     side = cfg.side**2
     if side <= ITERATE_MATERIALIZE_CAP:
         state = initial_iterate(params)
@@ -328,7 +311,7 @@ def _cmd_iterate(args) -> int:
     min_value, _point = certify_iterate(
         params, args.k, restarts=args.restarts, seed=args.seed, bundle_dir=args.bundle_dir
     )
-    print(f"k={args.k} ({copies} copies): min quadratic form = {_fmt(min_value)}")
+    print(f"k={args.k} ({cfg.n} copies): min quadratic form = {_fmt(min_value)}")
     if min_value < -1e-9:
         path = witness_bundle_path(args.bundle_dir, args.k, args.seed)
         print(

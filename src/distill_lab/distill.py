@@ -23,7 +23,7 @@ from .linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
-    _complex_normal,
+    _rank_two_draw,
     _trace_slot,
     kron,
     permute_subsystems,
@@ -108,17 +108,20 @@ class RankTwoFactors:
 
 
 def random_rank_two(rng: np.random.Generator, dim: int) -> RankTwoFactors:
-    """Sample unit-norm rank-<=2 factors: orthonormal pairs from QR of complex
-    Gaussians plus a uniform singular angle (a stack of one from
+    """Sample unit-norm rank-<=2 factors as the search draws a restart's
+    start: a uniform singular angle, then Haar frames (a stack of one from
     ``random_rank_two_stack``)."""
     return RankTwoFactors.from_stack(*random_rank_two_stack(rng, dim, 1))
 
 
 def random_rank_two_stack(rng: np.random.Generator, dim: int, count: int):
-    """``count`` haar-frames samples as arrays ``(sigma, u, v)``.
+    """``count`` samples of ``random_rank_two`` as arrays ``(sigma, u, v)``.
 
     ``sigma`` is (count, 2) holding (sigma1, sigma2); ``u`` and ``v`` are
-    (count, dim, 2) holding (u1, u2) and (v1, v2) as columns.  The RNG is
+    (count, dim, 2) holding (u1, u2) and (v1, v2) as columns.  Each sample
+    draws, in this order, an angle uniform in [0, pi/2) with
+    sigma = (cos, sin), then the complex Gaussian U and V frames, which
+    ``linalg._qf`` makes Haar (``linalg._rank_two_draw``).  The RNG is
     consumed exactly as by ``count`` successive ``random_rank_two(rng, dim)``
     calls and the samples are the same; the QR runs once over the stack, and
     every sample passes the ``RankTwoFactors`` checks.
@@ -127,17 +130,11 @@ def random_rank_two_stack(rng: np.random.Generator, dim: int, count: int):
 
 
 def _rank_two_from(rngs, dim: int):
-    """One haar-frames sample drawn from each generator of ``rngs`` in turn,
-    as a stack ``(sigma, u, v)`` shaped as ``random_rank_two_stack`` returns."""
-    dim = int(dim)
-    gauss = np.empty((len(rngs), 2, dim, 2), dtype=np.complex128)
-    sigma = np.empty((len(rngs), 2))
-    for r, rng in enumerate(rngs):
-        gauss[r, 0] = _complex_normal(rng, (dim, 2))
-        gauss[r, 1] = _complex_normal(rng, (dim, 2))
-        angle = rng.uniform(0.0, math.pi / 2.0)
-        sigma[r] = math.cos(angle), math.sin(angle)
-    frames = np.linalg.qr(gauss)[0]
+    """One ``_rank_two_draw`` sample from each generator of ``rngs`` in
+    turn, as a stack ``(sigma, u, v)`` shaped as ``random_rank_two_stack``
+    returns."""
+    theta, frames = _rank_two_draw(rngs, int(dim))
+    sigma = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     u, v = frames[:, 0], frames[:, 1]
     _check_rank_two(sigma, u, v)
     return sigma, u, v

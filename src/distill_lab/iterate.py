@@ -18,7 +18,6 @@ from .bundles import write_bundle
 from .distill import RankTwoFactors
 from .errors import DimensionLimitError, ShapeError, SymmetryError
 from .linalg import (
-    DEFAULT_DIM_CAP,
     HERMITICITY_TOL,
     ComplexMatrix,
     SubsystemPermutation,
@@ -26,7 +25,7 @@ from .linalg import (
     partial_transpose,
     permute_subsystems,
 )
-from .optimize import DEFAULT_SEED, SearchConfig, minimize_q
+from .optimize import DEFAULT_SEED, MINIMIZE_SIDE_CAP, SearchConfig, minimize_q
 from .states import WernerParams, werner_state
 
 DENSITY_TRACE_TOL = 1e-10
@@ -98,10 +97,7 @@ def e_step(s: IterateState) -> IterateState:
     """
     d = s.local_dim
     new_local = d * d
-    if new_local * new_local > DEFAULT_DIM_CAP:
-        raise DimensionLimitError(
-            f"step would produce side {new_local * new_local}, exceeding cap {DEFAULT_DIM_CAP}"
-        )
+    # kron rejects a side past DEFAULT_DIM_CAP before it allocates
     perm = SubsystemPermutation(EXCHANGE_PERM, (d, d, d, d))
     exchanged = permute_subsystems(kron(s.matrix, s.matrix), perm)
     merged = ComplexMatrix(exchanged.data, (new_local, new_local), (new_local, new_local))
@@ -127,20 +123,29 @@ def certify_iterate(
     below -1e-9 is a distillation witness; when ``bundle_dir`` is set, the
     witness point is serialized there.
     """
-    k = int(k)
-    if k < 0:
-        raise ShapeError(f"iteration count must be >= 0, got {k}")
-    n_copies = 2**k
-    cfg = SearchConfig(d=params.d, n=n_copies, beta=params.beta, restarts=restarts, seed=seed)
+    cfg = certify_config(params, k, restarts, seed)
     report = minimize_q(cfg)
-    scale = params.normalization**n_copies
-    min_value = report.best_value / scale
+    min_value = report.best_value / params.normalization**cfg.n
     if min_value < -CERTIFY_TOL and bundle_dir is not None:
         bundle = report.best_point.to_bundle(
-            "distillation-witness", d=params.d, n=n_copies, beta=params.beta, seed=cfg.seed, min_value=min_value
+            "distillation-witness", d=params.d, n=cfg.n, beta=params.beta, seed=cfg.seed, min_value=min_value
         )
         write_bundle(bundle, witness_bundle_path(bundle_dir, k, cfg.seed))
     return min_value, report.best_point
+
+
+def certify_config(params: WernerParams, k: int, restarts: int, seed: int) -> SearchConfig:
+    """The search ``certify_iterate`` runs at step ``k``: 2^k copy slots of
+    the local dimension of ``params``.  Raises as ``SearchConfig`` does on
+    settings it rejects."""
+    k = int(k)
+    if k < 0:
+        raise ShapeError(f"iteration count must be >= 0, got {k}")
+    # 2^k slots of d >= 2 exceed the cap long before k passes its bit
+    # length; rejecting such k here keeps a huge one from computing 2^k.
+    if k > MINIMIZE_SIDE_CAP.bit_length():
+        raise DimensionLimitError(f"{k} doubling steps exceed the search cap {MINIMIZE_SIDE_CAP}")
+    return SearchConfig(d=params.d, n=2**k, beta=params.beta, restarts=restarts, seed=seed)
 
 
 def witness_bundle_path(bundle_dir: "Path | str", k: int, seed: int) -> Path:

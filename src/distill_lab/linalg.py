@@ -23,6 +23,12 @@ DEFAULT_DIM_CAP = 1 << 16
 HERMITICITY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-12
 
+# Restarts and samples advance together in blocks whose working set stays
+# under this many bytes.  Stacking pays at small sides, where numpy call
+# overhead dominates; a search lift of side 256 is already 1 MiB, and stacks
+# of two or more of them cost 40-150% more per lift than one at a time.
+LIFT_BLOCK_BYTES = 1 << 20
+
 
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
@@ -257,3 +263,51 @@ def _qf(a: np.ndarray) -> np.ndarray:
 def _child_seed(seed: int, index: int) -> int:
     """Seed of the ``index``-th restart or sample, independent of run order."""
     return int(np.random.SeedSequence((int(seed), int(index))).generate_state(1, np.uint64)[0])
+
+
+def _sample_blocks(count: int, item_bytes: int):
+    """Sizes of consecutive blocks covering ``count`` items of ``item_bytes`` each.
+
+    A block's working set stays under ``LIFT_BLOCK_BYTES``, and a block holds
+    one item at least.  A search restart costs its lift, one complex matrix
+    of its side: 16 side^2 bytes.  An oracle sample costs four (the stack, a
+    temporary of assembling it, one of the squared norms, and the factors
+    with their QR work at small sides): 64 side^2 bytes.  Callers keep every
+    item's result independent of its block.
+    """
+    block = max(1, LIFT_BLOCK_BYTES // item_bytes)
+    for start in range(0, count, block):
+        yield min(block, count - start)
+
+
+def _seed_blocks(seed: int, count: int, item_bytes: int):
+    """The child seeds ``_child_seed(seed, i)`` of items ``0..count-1``, as
+    one list per block of ``_sample_blocks(count, item_bytes)``.
+
+    This is where every restart and sample of the lab gets its seed: item i
+    draws from ``default_rng`` of its own child seed, so its draw does not
+    depend on the block it runs in or on how many items run.
+    """
+    start = 0
+    for size in _sample_blocks(count, item_bytes):
+        yield [_child_seed(seed, i) for i in range(start, start + size)]
+        start += size
+
+
+def _rank_two_draw(rngs, side: int):
+    """One random unit-norm rank-<=2 point per generator of ``rngs``.
+
+    Returns ``(theta, frames)``: ``theta`` (R,) holds singular angles with
+    sigma = (cos, sin), ``frames`` (R, 2, side, 2) holds U = frames[:, 0]
+    and V = frames[:, 1], each pair of factors as columns.  Each generator
+    draws in turn a uniform angle in [0, pi/2), then the complex Gaussian U
+    and V; ``_qf`` orthonormalizes the stack, which makes the frames Haar
+    distributed.  A row depends only on its generator.
+    """
+    theta = np.empty(len(rngs))
+    raw = np.empty((len(rngs), 2, side, 2), dtype=np.complex128)
+    for r, rng in enumerate(rngs):
+        theta[r] = rng.uniform(0.0, math.pi / 2.0)
+        raw[r, 0] = _complex_normal(rng, (side, 2))
+        raw[r, 1] = _complex_normal(rng, (side, 2))
+    return theta, _qf(raw)

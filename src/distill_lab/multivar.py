@@ -24,8 +24,7 @@ import numpy as np
 
 from .bundles import Bundle, write_bundle
 from .errors import DimensionLimitError, ShapeError
-from .linalg import DEFAULT_DIM_CAP, _child_seed
-from .optimize import _sample_blocks
+from .linalg import DEFAULT_DIM_CAP, _seed_blocks
 from .states import WernerParams
 
 DEFAULT_BETA = -0.5
@@ -240,7 +239,7 @@ def hessian_spectrum_sweep(
     value below ``HESSIAN_FINDING_THRESHOLD`` is written out as a reproduction
     bundle when ``bundle_dir`` is given; the sweep itself always completes —
     a finding is data, not an error.  Each sample draws from its own child
-    seed of ``seed``; the samples run in blocks (``_sample_blocks``), one
+    seed of ``seed``; the samples run in blocks (``linalg._seed_blocks``), one
     ``hessian_g_stack`` and one stacked ``eigvalsh`` per block, and a row does
     not depend on the block it ran in.
     """
@@ -253,11 +252,10 @@ def hessian_spectrum_sweep(
     beta = WernerParams(d, beta).beta
     n = d * d
     rows = []
-    start = 0
-    for count in _sample_blocks(samples, 2 * n):
-        seeds = [_child_seed(seed, idx) for idx in range(start, start + count)]
-        y = np.empty((count, n))
-        z = np.empty((count, n))
+    # an oracle sample's cost (``linalg._sample_blocks``) at the Hessian's side 2 d^2
+    for seeds in _seed_blocks(seed, samples, 64 * (2 * n) ** 2):
+        y = np.empty((len(seeds), n))
+        z = np.empty((len(seeds), n))
         for r, child in enumerate(seeds):
             rng = np.random.default_rng(child)
             y[r] = rng.standard_normal(n)
@@ -279,8 +277,7 @@ def hessian_spectrum_sweep(
                     vectors={"y": y[r], "z": z[r]},
                 )
                 write_bundle(bundle, Path(bundle_dir) / f"hessian-{child}.bundle")
-            rows.append(SweepRow(point_id=start + r, seed=child, min_eigenvalue=min_eig))
-        start += count
+            rows.append(SweepRow(point_id=len(rows), seed=child, min_eigenvalue=min_eig))
     return rows
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distill import RankTwoFactors
 from .errors import DimensionLimitError, ShapeError
-from .linalg import ComplexMatrix, _child_seed, _complex_normal, _qf, _trace_slot
+from .linalg import ComplexMatrix, _qf, _rank_two_draw, _seed_blocks, _trace_slot
 
 # Largest composite side d^n the factored search will handle.
 MINIMIZE_SIDE_CAP = 256
@@ -32,13 +32,6 @@ DEFAULT_SEED = 0xD157
 ARMIJO_C = 1e-4
 ARMIJO_FACTOR = 0.5
 MAX_BACKTRACKS = 60
-
-# Restarts advance together in blocks whose stacked lift stays under this
-# many bytes.  Stacking pays at small sides, where numpy call overhead
-# dominates; a lift of side 256 is already 1 MiB, and stacks of two or more
-# of them cost 40-150% more per lift than one at a time.  The sample blocks
-# of the oracles (``_sample_blocks``) share this budget.
-LIFT_BLOCK_BYTES = 1 << 20
 
 # Why a restart stopped; RestartRecord.stop_reason holds one of these.
 STOP_REASONS = ("grad_tol", "max_iters", "line_search")
@@ -129,17 +122,22 @@ class TangentGradient:
 def minimize_q(cfg: SearchConfig) -> SearchReport:
     """Random-restart projected gradient descent on the subset-sum functional.
 
-    Each restart draws Haar frames and a uniform singular angle, then runs
-    Armijo-backtracked descent with QR re-orthonormalization, stopping at
-    ``grad_tol``, at ``max_iters`` or when ``MAX_BACKTRACKS`` halvings all
-    fail; its record names which.  The report is deterministic given the
-    config (restart seeds derive from ``cfg.seed``; the best restart is the
-    first one with the least value), except for the recorded wall time.
+    Each restart draws a uniform singular angle and Haar frames
+    (``linalg._rank_two_draw``), then runs Armijo-backtracked descent with
+    QR re-orthonormalization, stopping at ``grad_tol``, at ``max_iters`` or
+    when ``MAX_BACKTRACKS`` halvings all fail; its record names which.  The
+    report is deterministic given the config (restart seeds derive from
+    ``cfg.seed``; the best restart is the first one with the least value),
+    except for the recorded wall time.
     A restart that ends at a non-finite value raises ``FloatingPointError``.
     """
     start = time.perf_counter()
-    seeds = [_child_seed(cfg.seed, i) for i in range(cfg.restarts)]
-    value, theta, frames, iterations, stop = _descend(cfg, seeds)
+    # Restarts run in blocks of one lift (16 side^2 bytes) each; results do
+    # not depend on the blocking.
+    blocks = list(_seed_blocks(cfg.seed, cfg.restarts, 16 * cfg.side**2))
+    seeds = [s for block in blocks for s in block]
+    parts = [_descend_block(cfg, block) for block in blocks]
+    value, theta, frames, iterations, stop = (np.concatenate(arrays) for arrays in zip(*parts))
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         r = int(bad[0])
@@ -251,49 +249,18 @@ def report_from_json(data: dict) -> SearchReport:
     )
 
 
-def _sample_blocks(samples: int, side: int):
-    """Block sizes covering ``samples`` samples of a per-sample oracle.
-
-    Each sample is costed as four complex matrices of ``side`` (for the
-    subset sum: the stack, a temporary of assembling it, one of the squared
-    norms, and the factors with their QR work at small sides), so a block's
-    working set stays under ``LIFT_BLOCK_BYTES``.  Callers keep every
-    sample's result independent of its block.
-    """
-    block = max(1, LIFT_BLOCK_BYTES // (4 * 16 * side * side))
-    for start in range(0, samples, block):
-        yield min(block, samples - start)
-
-
-def _descend(cfg: SearchConfig, seeds: list[int]):
-    """Armijo descent from one random start per seed.
+def _descend_block(cfg: SearchConfig, seeds: list[int]):
+    """Armijo descent from one ``_rank_two_draw`` start per seed, the
+    restarts advancing as one stack, one candidate per live row per round.
 
     Returns per-restart arrays ``(value, theta, frames, iterations, stop)``,
-    ``stop`` indexing ``STOP_REASONS``.  Restarts run in blocks sized by
-    ``LIFT_BLOCK_BYTES``; results do not depend on the blocking.
+    ``stop`` indexing ``STOP_REASONS``.  Each row keeps its own trial step,
+    backtrack count and stop flag, so it runs exactly the serial algorithm:
+    an accepted candidate becomes the point, hands over the value and
+    gradient evaluated with it and doubles the trial step (at most 1); a
+    rejected one halves it.
     """
-    block = max(1, LIFT_BLOCK_BYTES // (16 * cfg.side**2))
-    parts = [_descend_block(cfg, seeds[i : i + block]) for i in range(0, len(seeds), block)]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _descend_block(cfg: SearchConfig, seeds: list[int]):
-    """Advance a stack of restarts together, one Armijo candidate per live row per round.
-
-    Each row keeps its own trial step, backtrack count and stop flag, so it
-    runs exactly the serial algorithm: an accepted candidate becomes the
-    point, hands over the value and gradient evaluated with it and doubles
-    the trial step (at most 1); a rejected one halves it.
-    """
-    size = cfg.side
-    theta = np.empty(len(seeds))
-    raw = np.empty((len(seeds), 2, size, 2), dtype=np.complex128)
-    for r, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        theta[r] = rng.uniform(0.0, math.pi / 2.0)
-        raw[r, 0] = _complex_normal(rng, (size, 2))
-        raw[r, 1] = _complex_normal(rng, (size, 2))
-    frames = _qf(raw)
+    theta, frames = _rank_two_draw([np.random.default_rng(seed) for seed in seeds], cfg.side)
     value, gtheta, gframes, gn2 = _evaluate(cfg.dims, cfg.beta, theta, frames)
     step = np.ones(len(seeds))
     iterations = np.zeros(len(seeds), dtype=np.int64)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import ComplexMatrix, MultipartiteState, _complex_normal, _qf
+from .linalg import ComplexMatrix, MultipartiteState, _child_seed, _complex_normal, _qf
 
 # Relative cutoff separating genuine rank from double-precision noise.
 RANK_TOL = 1e-9
@@ -58,13 +58,14 @@ def max_overlap_sr_k(state: MultipartiteState, k: int) -> float:
 
     Equals the sum of the k largest squared Schmidt coefficients.
     """
-    d = _bipartite_dim(state)
+    a = psi_iso(state).data
+    d = a.shape[0]
     k = int(k)
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in 1..{d}, got {k}")
     # u and v are computed though unused: the values-only SVD takes another
     # LAPACK path, whose values may differ in the last bits.
-    _, s, _ = np.linalg.svd(psi_iso(state).data, full_matrices=False)
+    _, s, _ = np.linalg.svd(a, full_matrices=False)
     return float(np.sum(s[:k] ** 2))
 
 
@@ -81,22 +82,23 @@ def max_overlap_oracle(
     ``||P^dag A Q||_F^2``, which at the optimum equals the analytic answer.
     Uses only matrix-vector algebra on the coefficient matrix, never its SVD.
 
-    Restart r starts from ``default_rng((seed, r))``.  The restarts advance
+    Restart r starts from ``default_rng(_child_seed(seed, r))``, the seed
+    policy of every restart and sample in the lab.  The restarts advance
     as one stack ``(restarts, d, k)``: each live row takes one ascent step
     per round and stops on its own, when its value gains less than
     ``OVERLAP_TOL`` or after ``OVERLAP_MAX_ITERS`` steps.  A row's arithmetic
     is that of the restart run alone.  Returns the largest final value.
     """
-    d = _bipartite_dim(state)
+    a = psi_iso(state).data
+    d = a.shape[0]
     k = int(k)
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in 1..{d}, got {k}")
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    a = psi_iso(state).data
     a_h = a.conj().T
-    starts = [_complex_normal(np.random.default_rng((int(seed), r)), (d, k)) for r in range(restarts)]
+    starts = [_complex_normal(np.random.default_rng(_child_seed(seed, r)), (d, k)) for r in range(restarts)]
     q = _qf(np.stack(starts))
     value = np.full(restarts, -np.inf)
     live = np.arange(restarts)
@@ -130,11 +132,3 @@ def _frobenius_sq(m: np.ndarray) -> np.ndarray:
     im = m.imag.reshape(len(m), 1, -1)
     sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
     return np.sqrt(sq[:, 0, 0]) ** 2
-
-
-def _bipartite_dim(state: MultipartiteState) -> int:
-    if len(state.dims) != 2 or state.dims[0] != state.dims[1]:
-        raise ShapeError(
-            f"expected two subsystems of equal dimension, got dims {state.dims}"
-        )
-    return state.dims[0]

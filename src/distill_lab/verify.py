@@ -38,7 +38,8 @@ from .linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
-    _child_seed,
+    _sample_blocks,
+    _seed_blocks,
     partial_trace,
     permutation_matrix,
 )
@@ -53,7 +54,7 @@ from .multivar import (
     _h1,
     _h2,
 )
-from .optimize import DEFAULT_SEED, SearchConfig, _sample_blocks, minimize_q
+from .optimize import DEFAULT_SEED, SearchConfig, minimize_q
 from .schmidt import max_overlap_oracle, max_overlap_sr_k, random_state, schmidt_decompose
 from .states import WernerParams, beta_bound, max_entangled_state
 
@@ -408,7 +409,7 @@ def _check_lemma_trace_contraction(seed, bundle_dir):
     rng = np.random.default_rng((seed, 502))
     worst = -np.inf
     for d in (2, 3, 4):
-        for count in _sample_blocks(10_000 // 3 + 1, d * d):
+        for count in _sample_blocks(10_000 // 3 + 1, 64 * (d * d) ** 2):
             w, x = _complex_pairs(rng, count, d * d)
             wm = w.reshape(count, d, d)
             xm = x.reshape(count, d, d)
@@ -430,7 +431,7 @@ def _check_copy_floor(seed, bundle_dir):
                 continue
             dims = (d,) * n
             for beta in (floor_beta, floor_beta + 0.1, 0.0):
-                for count in _sample_blocks(1500, d**n):
+                for count in _sample_blocks(1500, 64 * (d**n) ** 2):
                     stack = random_rank_two_stack(rng, d**n, count)
                     values = q_functional_stack(assemble_stack(*stack), dims, beta)
                     for row in np.flatnonzero(values < -1e-9):
@@ -457,7 +458,7 @@ def _check_rank_one_positivity(seed, bundle_dir):
                 continue
             dims = (d,) * n
             size = d**n
-            for count in _sample_blocks(3400, size):
+            for count in _sample_blocks(3400, 64 * size**2):
                 u, v = _complex_pairs(rng, count, size)
                 u /= _norms(u)[:, None]
                 v /= _norms(v)[:, None]
@@ -510,8 +511,9 @@ def rank2_slack_sampling(
     The inequality behind the slack is conjectural, so findings never raise:
     they are serialized as bundles (when a directory is given) and returned.
     Each sample draws from its own child seed of ``seed``, as
-    ``random_rank_two`` would; the samples run in blocks (``_sample_blocks``),
-    one QR and one ``pqr_stack`` per block, and a row equals
+    ``random_rank_two`` would; the samples run in blocks
+    (``linalg._seed_blocks``), one QR and one ``pqr_stack`` per block, and a
+    row equals
     ``_discriminant_slack(*pqr(random_rank_two(rng, d * d), d))`` whatever
     its block.  ``check_rank2_inequality`` takes the polarized route to the
     same slack and agrees to rounding.
@@ -520,19 +522,16 @@ def rank2_slack_sampling(
     samples = int(samples)
     rows = []
     findings = []
-    start = 0
-    for count in _sample_blocks(samples, d * d):
-        seeds = [_child_seed(seed, idx) for idx in range(start, start + count)]
+    for seeds in _seed_blocks(seed, samples, 64 * (d * d) ** 2):
         stack = _rank_two_from([np.random.default_rng(child) for child in seeds], d * d)
         p, q, r = pqr_stack(*stack[1:], d)
         slacks = _discriminant_slack(p, q, r)
         for row, (child, slack) in enumerate(zip(seeds, slacks.tolist())):
-            rows.append(SlackRow(point_id=start + row, seed=child, slack=slack))
+            rows.append(SlackRow(point_id=len(rows), seed=child, slack=slack))
             if slack > SLACK_FINDING_THRESHOLD and bundle_dir is not None:
                 rt = RankTwoFactors.from_stack(*stack, row)
                 bundle = rt.to_bundle("rank2-slack-finding", d=d, n=2, beta=-0.5, seed=child, slack=slack)
                 findings.append(write_bundle(bundle, Path(bundle_dir) / f"slack-{child}.bundle"))
-        start += count
     return rows, findings
 
 

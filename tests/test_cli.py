@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from distill_lab import cli, optimize
+from distill_lab import cli, linalg, optimize
 from distill_lab.bundles import read_bundle
 
 
@@ -273,10 +273,10 @@ class TestHessian:
 
     def test_csv_does_not_depend_on_block_size(self, tmp_path, monkeypatch):
         # 50 Hessians of side 18 a block: 120 samples take three blocks
-        assert list(optimize._sample_blocks(120, 18)) == [50, 50, 20]
+        assert list(linalg._sample_blocks(120, 64 * 18**2)) == [50, 50, 20]
         argv = ["hessian", "--d", "3", "--samples", "120", "--seed", "78", "--out"]
         run(argv + [str(tmp_path / "default.csv")])
-        monkeypatch.setattr(optimize, "LIFT_BLOCK_BYTES", 1)
+        monkeypatch.setattr(linalg, "LIFT_BLOCK_BYTES", 1)
         run(argv + [str(tmp_path / "single.csv")])
         assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
 
@@ -312,7 +312,7 @@ class TestIterate:
         start = time.perf_counter()
         assert run(["iterate", "--d", "3", "--k", "24", "--beta", "-0.25"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "needs factor length 3^(2^24) > 256" in capsys.readouterr().err
+        assert "24 doubling steps exceed the search cap 256" in capsys.readouterr().err
 
     def test_bad_search_settings_exit_two_before_any_step(self, capsys):
         assert run(["iterate", "--d", "2", "--k", "1", "--beta", "-0.25", "--restarts", "0"]) == 2

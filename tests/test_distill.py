@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distill_lab import optimize, verify
+from distill_lab import linalg, verify
 from distill_lab.bundles import read_bundle
 from distill_lab.distill import (
     RankTwoFactors,
@@ -23,7 +23,7 @@ from distill_lab.distill import (
 from distill_lab.errors import DimensionLimitError, ShapeError
 from distill_lab.linalg import ComplexMatrix, MultipartiteState, _child_seed, partial_trace
 from distill_lab.states import WernerParams, max_entangled_state
-from distill_lab.verify import _sample_blocks, rank2_slack_sampling
+from distill_lab.verify import rank2_slack_sampling
 
 
 def unit_matrix(arr, dims):
@@ -32,11 +32,19 @@ def unit_matrix(arr, dims):
 
 
 def reference_haar_frames(rng, dim):
-    """One haar-frames draw with its own QR per frame: the reference for the
-    block sampler.  Returns (sigma1, sigma2, U, V) with the pairs as columns."""
-    qu = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))[0]
-    qv = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))[0]
+    """One draw with its own QR per frame: the reference for the block
+    sampler.  The angle comes first, then U and V; each QR factor takes the
+    phases of R's diagonal, which makes it Haar.  Returns
+    (sigma1, sigma2, U, V) with the pairs as columns."""
+
+    def haar(g):
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r)
+        return q * (diag / np.abs(diag))
+
     angle = rng.uniform(0.0, math.pi / 2.0)
+    qu = haar(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
+    qv = haar(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
     return math.cos(angle), math.sin(angle), qu, qv
 
 
@@ -110,7 +118,7 @@ class TestQFunctionalStack:
     def test_blocks_crossing_a_boundary_match_single_draws(self):
         # 22 matrices of side 27 fit one block, so 30 samples take two
         dims = (3, 3, 3)
-        blocks = list(_sample_blocks(30, 27))
+        blocks = list(linalg._sample_blocks(30, 64 * 27**2))
         assert blocks == [22, 8]
         block_rng = np.random.default_rng(8)
         single_rng = np.random.default_rng(8)
@@ -158,6 +166,17 @@ class TestRandomRankTwoStack:
                 assert np.array_equal(rt.assemble(), expect)
             assert np.array_equal(matrices[row], expect)
         assert block_rng.random() == single_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("dim", [4, 9])
+    def test_frames_take_both_signs(self, dim):
+        # Haar frames are invariant under a phase on each column, so the real
+        # part of a leading entry is as often negative as positive.  QR
+        # without the phase correction makes it negative every time.
+        rng = np.random.default_rng(dim)
+        draws = [random_rank_two(rng, dim) for _ in range(400)]
+        for name in ("u1", "v1"):
+            lead = np.array([getattr(rt, name)[0].real for rt in draws])
+            assert np.any(lead > 0) and np.any(lead < 0)
 
 
 class TestPqrStack:
@@ -306,9 +325,9 @@ class TestCheckRankTwoInequality:
         assert bundle.params["slack"] == pytest.approx(rows[0].slack, abs=0.0)
 
     def test_rows_do_not_depend_on_block_size(self, monkeypatch):
-        assert list(_sample_blocks(500, 9)) == [202, 202, 96]
+        assert list(linalg._sample_blocks(500, 64 * 9**2)) == [202, 202, 96]
         default = [(r.point_id, r.seed, r.slack) for r in rank2_slack_sampling(3, 500, seed=14)[0]]
-        monkeypatch.setattr(optimize, "LIFT_BLOCK_BYTES", 1)
+        monkeypatch.setattr(linalg, "LIFT_BLOCK_BYTES", 1)
         single = [(r.point_id, r.seed, r.slack) for r in rank2_slack_sampling(3, 500, seed=14)[0]]
         assert single == default
 

@@ -170,6 +170,10 @@ class TestCertifyIterate:
         with pytest.raises(ShapeError, match="iteration count"):
             certify_iterate(WernerParams(2, -0.25), -1)
 
+    def test_rejects_a_huge_k_before_computing_its_copy_count(self):
+        with pytest.raises(DimensionLimitError, match="doubling steps exceed the search cap"):
+            certify_iterate(WernerParams(2, -0.25), 10**15)
+
     def test_witness_bundle_written_on_violation(self, tmp_path):
         params = WernerParams(2, -0.7)
         min_value, _ = certify_iterate(params, 0, restarts=6, seed=5, bundle_dir=tmp_path)

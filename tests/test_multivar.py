@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distill_lab import multivar, optimize
+from distill_lab import linalg, multivar
 from distill_lab.bundles import read_bundle
 from distill_lab.distill import f_bilinear
 from distill_lab.errors import ShapeError
@@ -326,9 +326,9 @@ class TestHessianSpectrumSweep:
 
     def test_rows_do_not_depend_on_block_size(self, monkeypatch):
         # Hessians of side 32 at d = 4: 40 samples fill three default blocks
-        assert list(optimize._sample_blocks(40, 32)) == [16, 16, 8]
+        assert list(linalg._sample_blocks(40, 64 * 32**2)) == [16, 16, 8]
         default = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 40, seed=9)]
-        monkeypatch.setattr(optimize, "LIFT_BLOCK_BYTES", 1)
+        monkeypatch.setattr(linalg, "LIFT_BLOCK_BYTES", 1)
         single = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 40, seed=9)]
         assert single == default
 

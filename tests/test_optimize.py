@@ -22,7 +22,7 @@ from distill_lab.optimize import (
     MAX_BACKTRACKS,
     STOP_REASONS,
     SearchConfig,
-    _descend,
+    _descend_block,
     _evaluate,
     _lift,
     _project_stiefel,
@@ -163,9 +163,9 @@ class TestQForm:
         seeds = [45, 46, 47]
         steps = [2.0**-j for j in range(61)]
         capped = STOP_REASONS.index("max_iters")
-        before = _descend(SearchConfig(d=2, n=3, beta=-0.6, max_iters=1), seeds)
+        before = _descend_block(SearchConfig(d=2, n=3, beta=-0.6, max_iters=1), seeds)
         for k in range(2, 7):
-            after = _descend(SearchConfig(d=2, n=3, beta=-0.6, max_iters=k), seeds)
+            after = _descend_block(SearchConfig(d=2, n=3, beta=-0.6, max_iters=k), seeds)
             value, theta, frames, _, stop = before
             assert list(stop) == [capped] * len(seeds)
             for r in range(len(seeds)):
@@ -306,11 +306,20 @@ class TestMinimizeQ:
             assert record.final_value == pytest.approx(value, abs=1e-12)
             assert (record.iterations, record.stop_reason) == (iterations, stop_reason)
 
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 5)])
+    def test_a_restart_starts_at_the_rank_two_sampler_draw(self, d, n):
+        # a gradient tolerance no start can fail stops the restart where it began
+        cfg = SearchConfig(d=d, n=n, beta=-0.4, restarts=1, grad_tol=1e300, seed=117)
+        report = minimize_q(cfg)
+        assert report.per_restart[0].iterations == 0
+        drawn = random_rank_two(np.random.default_rng(_child_seed(117, 0)), cfg.side)
+        assert np.max(np.abs(report.best_point.assemble() - drawn.assemble())) <= 1e-15
+
     def test_restart_record_reproducible_standalone(self):
         cfg = SearchConfig(d=2, n=2, beta=-0.5, restarts=3, seed=111)
         report = minimize_q(cfg)
         record = report.per_restart[1]
-        value, _, _, iters, stop = _descend(cfg, [record.seed])
+        value, _, _, iters, stop = _descend_block(cfg, [record.seed])
         assert float(value[0]) == record.final_value
         assert int(iters[0]) == record.iterations
         assert STOP_REASONS[stop[0]] == record.stop_reason

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from distill_lab.errors import ShapeError
-from distill_lab.linalg import MultipartiteState, _complex_normal, _qf
+from distill_lab.linalg import MultipartiteState, _child_seed, _complex_normal, _qf
 from distill_lab.schmidt import (
     OVERLAP_MAX_ITERS,
     OVERLAP_TOL,
@@ -23,7 +23,7 @@ def serial_overlap_oracle(state, k, restarts, seed):
     d = a.shape[0]
     best = 0.0
     for r in range(restarts):
-        q = _qf(_complex_normal(np.random.default_rng((seed, r)), (d, k)))
+        q = _qf(_complex_normal(np.random.default_rng(_child_seed(seed, r)), (d, k)))
         value = 0.0
         prev = -np.inf
         for _ in range(OVERLAP_MAX_ITERS):
