@@ -151,9 +151,6 @@ def _cmd_bound(args) -> int:
     if not 1 <= args.n <= 64:
         print(f"error: --n must lie in 1..64, got {args.n}", file=sys.stderr)
         return 2
-    if not 0 < args.tol < np.inf:
-        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
-        return 2
     rows = []
     for n in range(1, args.n + 1):
         root = beta_bound(n, args.tol)

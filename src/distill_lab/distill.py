@@ -23,7 +23,8 @@ from .linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
-    _rank_two_draw,
+    _complex_normal,
+    _qf,
     _trace_slot,
     kron,
     permute_subsystems,
@@ -67,25 +68,18 @@ class RankTwoFactors:
     def dim(self) -> int:
         return self.u1.size
 
-    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factors as a stack of one, shaped as ``random_rank_two_stack`` returns."""
-        return (
-            np.array([[self.sigma1, self.sigma2]]),
-            np.stack([self.u1, self.u2], axis=-1)[None],
-            np.stack([self.v1, self.v2], axis=-1)[None],
-        )
+    def stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors as a stack of one ``(sigma, frames)``, shaped as
+        ``random_rank_two_stack`` returns."""
+        # frames[0, 0] = U = (u1, u2) and frames[0, 1] = V = (v1, v2) as columns
+        frames = np.stack([[self.u1, self.v1], [self.u2, self.v2]], axis=-1)
+        return np.array([[self.sigma1, self.sigma2]]), frames[None]
 
     @staticmethod
-    def from_stack(sigma: np.ndarray, u: np.ndarray, v: np.ndarray, row: int = 0) -> "RankTwoFactors":
+    def from_stack(sigma: np.ndarray, frames: np.ndarray, row: int = 0) -> "RankTwoFactors":
         """Sample ``row`` of a stack shaped as ``random_rank_two_stack`` returns."""
-        return RankTwoFactors(
-            sigma1=sigma[row, 0],
-            sigma2=sigma[row, 1],
-            u1=u[row, :, 0],
-            v1=v[row, :, 0],
-            u2=u[row, :, 1],
-            v2=v[row, :, 1],
-        )
+        (u1, u2), (v1, v2) = frames[row].swapaxes(-1, -2)
+        return RankTwoFactors(sigma[row, 0], sigma[row, 1], u1, v1, u2, v2)
 
     def assemble(self) -> np.ndarray:
         """Dense matrix sigma1*u1 v1^dag + sigma2*u2 v2^dag."""
@@ -111,38 +105,52 @@ def random_rank_two(rng: np.random.Generator, dim: int) -> RankTwoFactors:
     """Sample unit-norm rank-<=2 factors as the search draws a restart's
     start: a uniform singular angle, then Haar frames (a stack of one from
     ``random_rank_two_stack``)."""
-    return RankTwoFactors.from_stack(*random_rank_two_stack(rng, dim, 1))
+    return RankTwoFactors.from_stack(*random_rank_two_stack([rng], dim))
 
 
-def random_rank_two_stack(rng: np.random.Generator, dim: int, count: int):
-    """``count`` samples of ``random_rank_two`` as arrays ``(sigma, u, v)``.
+def random_rank_two_stack(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """One ``random_rank_two`` sample per generator of ``rngs``, as a stack
+    ``(sigma, frames)``.
 
-    ``sigma`` is (count, 2) holding (sigma1, sigma2); ``u`` and ``v`` are
-    (count, dim, 2) holding (u1, u2) and (v1, v2) as columns.  Each sample
-    draws, in this order, an angle uniform in [0, pi/2) with
-    sigma = (cos, sin), then the complex Gaussian U and V frames, which
-    ``linalg._qf`` makes Haar (``linalg._rank_two_draw``).  The RNG is
-    consumed exactly as by ``count`` successive ``random_rank_two(rng, dim)``
-    calls and the samples are the same; the QR runs once over the stack, and
-    every sample passes the ``RankTwoFactors`` checks.
+    ``sigma`` is (R, 2) holding (sigma1, sigma2) = (cos, sin) of the drawn
+    angle; ``frames`` is (R, 2, dim, 2), the search's layout, with
+    U = frames[:, 0] holding (u1, u2) and V = frames[:, 1] holding (v1, v2)
+    as columns.  Generators draw in turn (``_rank_two_draw``), so
+    ``[rng] * count`` consumes one generator exactly as ``count`` successive
+    ``random_rank_two(rng, dim)`` calls and gives the same samples.  The QR
+    runs once over the stack, and every sample passes the
+    ``RankTwoFactors`` checks.
     """
-    return _rank_two_from([rng] * int(count), dim)
-
-
-def _rank_two_from(rngs, dim: int):
-    """One ``_rank_two_draw`` sample from each generator of ``rngs`` in
-    turn, as a stack ``(sigma, u, v)`` shaped as ``random_rank_two_stack``
-    returns."""
     theta, frames = _rank_two_draw(rngs, int(dim))
     sigma = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    _check_rank_two(sigma, frames)
+    return sigma, frames
+
+
+def _rank_two_draw(rngs, side: int):
+    """One random unit-norm rank-<=2 point per generator of ``rngs``.
+
+    Returns ``(theta, frames)``: ``theta`` (R,) holds singular angles with
+    sigma = (cos, sin), and ``frames`` is laid out as in
+    ``random_rank_two_stack``.  Each generator draws in turn a uniform angle
+    in [0, pi/2), then the complex Gaussian U and V; ``linalg._qf``
+    orthonormalizes the stack, which makes the frames Haar distributed.  A
+    row depends only on its generator.  The search starts its restarts here.
+    """
+    theta = np.empty(len(rngs))
+    raw = np.empty((len(rngs), 2, side, 2), dtype=np.complex128)
+    for r, rng in enumerate(rngs):
+        theta[r] = rng.uniform(0.0, math.pi / 2.0)
+        raw[r, 0] = _complex_normal(rng, (side, 2))
+        raw[r, 1] = _complex_normal(rng, (side, 2))
+    return theta, _qf(raw)
+
+
+def assemble_stack(sigma: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Dense (R, dim, dim) matrices sigma1 u1 v1^H + sigma2 u2 v2^H of a
+    stack ``(sigma, frames)`` shaped as ``random_rank_two_stack`` returns;
+    row r depends only on sample r."""
     u, v = frames[:, 0], frames[:, 1]
-    _check_rank_two(sigma, u, v)
-    return sigma, u, v
-
-
-def assemble_stack(sigma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense (count, dim, dim) matrices of a factor stack shaped as
-    ``random_rank_two_stack`` returns; row r depends only on sample r."""
     out = u[:, :, None, 0] * v[:, None, :, 0].conj()
     out *= sigma[:, 0, None, None]
     two = u[:, :, None, 1] * v[:, None, :, 1].conj()
@@ -213,17 +221,17 @@ def pqr(rt: RankTwoFactors, d: int) -> tuple[float, float, float]:
     sigma1 sigma2 R reproduces ||Tr_1(X)||^2 + ||Tr_2(X)||^2 - |tr X|^2/2 for
     the assembled matrix X.  This is ``pqr_stack`` on a stack of one.
     """
-    p, q, r = pqr_stack(*rt.stack()[1:], d)
+    p, q, r = pqr_stack(rt.stack()[1], d)
     return float(p[0]), float(q[0]), float(r[0])
 
 
-def pqr_stack(u: np.ndarray, v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``pqr`` of each sample of the frames ``u``, ``v`` of a factor stack
-    shaped as ``random_rank_two_stack`` returns; row r depends only on
-    sample r."""
+def pqr_stack(frames: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pqr`` of each sample of ``frames`` (R, 2, d*d, 2), laid out as
+    ``random_rank_two_stack`` returns; the scalars do not depend on the
+    singular values.  Row r depends only on sample r."""
     d = int(d)
-    if u.shape[1] != d * d:
-        raise ShapeError(f"factor vectors of length {u.shape[1]} do not reshape to {d}x{d}")
+    if frames.shape[2] != d * d:
+        raise ShapeError(f"factor vectors of length {frames.shape[2]} do not reshape to {d}x{d}")
 
     def coeffs(frame, col):
         # contiguous, so every product below runs through BLAS as for one matrix
@@ -240,6 +248,7 @@ def pqr_stack(u: np.ndarray, v: np.ndarray, d: int) -> tuple[np.ndarray, np.ndar
         # same for any stack size
         return a.real * b.real + a.imag * b.imag
 
+    u, v = frames[:, 0], frames[:, 1]
     u1, v1, u2, v2 = coeffs(u, 0), coeffs(v, 0), coeffs(u, 1), coeffs(v, 1)
     t1 = trace(u1 @ h(v1))
     t2 = trace(u2 @ h(v2))
@@ -344,22 +353,22 @@ def _require_square_slots(x: ComplexMatrix):
         )
 
 
-def _check_rank_two(sigma: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Raise ShapeError unless every sample of a stack is a unit-norm
-    rank-<=2 factorization; shapes as in ``random_rank_two_stack``.  NaN
-    fails every check."""
+def _check_rank_two(sigma: np.ndarray, frames: np.ndarray):
+    """Raise ShapeError unless every sample of a stack ``(sigma, frames)`` is
+    a unit-norm rank-<=2 factorization; shapes as in
+    ``random_rank_two_stack``.  NaN fails every check."""
     if not np.all(sigma >= 0):
         raise ShapeError(f"singular values must be nonnegative, got minimum {float(np.min(sigma))!r}")
     dev = np.abs(sigma[:, 0] * sigma[:, 0] + sigma[:, 1] * sigma[:, 1] - 1.0)
     if not np.all(dev <= 1e-12):
         raise ShapeError(f"sigma1^2 + sigma2^2 must be 1 within 1e-12, off by {float(np.max(dev))!r}")
-    for name, frame in (("u", u), ("v", v)):
-        dev = np.abs(np.linalg.norm(frame, axis=1) - 1.0)
-        if not np.all(dev <= 1e-12):
-            raise ShapeError(f"{name}1 and {name}2 must be unit norm within 1e-12, off by {float(np.max(dev))!r}")
-        overlap = np.abs(np.sum(frame[:, :, 0].conj() * frame[:, :, 1], axis=1))
-        if not np.all(overlap <= 1e-10):
-            raise ShapeError(f"{name}1 and {name}2 must be orthogonal within 1e-10")
+    # both frames at once: axis 2 runs along each factor vector
+    dev = np.abs(np.linalg.norm(frames, axis=2) - 1.0)
+    if not np.all(dev <= 1e-12):
+        raise ShapeError(f"u1, u2, v1 and v2 must be unit norm within 1e-12, off by {float(np.max(dev))!r}")
+    overlap = np.abs(np.sum(frames[..., 0].conj() * frames[..., 1], axis=2))
+    if not np.all(overlap <= 1e-10):
+        raise ShapeError("u1, u2 and v1, v2 must be orthogonal within 1e-10")
 
 
 def _subset_traces(data: np.ndarray, dims: tuple[int, ...]):

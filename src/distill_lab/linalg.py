@@ -293,21 +293,3 @@ def _seed_blocks(seed: int, count: int, item_bytes: int):
         yield [_child_seed(seed, i) for i in range(start, start + size)]
         start += size
 
-
-def _rank_two_draw(rngs, side: int):
-    """One random unit-norm rank-<=2 point per generator of ``rngs``.
-
-    Returns ``(theta, frames)``: ``theta`` (R,) holds singular angles with
-    sigma = (cos, sin), ``frames`` (R, 2, side, 2) holds U = frames[:, 0]
-    and V = frames[:, 1], each pair of factors as columns.  Each generator
-    draws in turn a uniform angle in [0, pi/2), then the complex Gaussian U
-    and V; ``_qf`` orthonormalizes the stack, which makes the frames Haar
-    distributed.  A row depends only on its generator.
-    """
-    theta = np.empty(len(rngs))
-    raw = np.empty((len(rngs), 2, side, 2), dtype=np.complex128)
-    for r, rng in enumerate(rngs):
-        theta[r] = rng.uniform(0.0, math.pi / 2.0)
-        raw[r, 0] = _complex_normal(rng, (side, 2))
-        raw[r, 1] = _complex_normal(rng, (side, 2))
-    return theta, _qf(raw)

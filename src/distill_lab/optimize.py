@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distill import RankTwoFactors
+from .distill import RankTwoFactors, _rank_two_draw
 from .errors import DimensionLimitError, ShapeError
-from .linalg import ComplexMatrix, _qf, _rank_two_draw, _seed_blocks, _trace_slot
+from .linalg import ComplexMatrix, _qf, _seed_blocks, _trace_slot
 
 # Largest composite side d^n the factored search will handle.
 MINIMIZE_SIDE_CAP = 256
@@ -123,7 +123,7 @@ def minimize_q(cfg: SearchConfig) -> SearchReport:
     """Random-restart projected gradient descent on the subset-sum functional.
 
     Each restart draws a uniform singular angle and Haar frames
-    (``linalg._rank_two_draw``), then runs Armijo-backtracked descent with
+    (``distill._rank_two_draw``), then runs Armijo-backtracked descent with
     QR re-orthonormalization, stopping at ``grad_tol``, at ``max_iters`` or
     when ``MAX_BACKTRACKS`` halvings all fail; its record names which.  The
     report is deterministic given the config (restart seeds derive from
@@ -168,9 +168,7 @@ def grad_q(rt: RankTwoFactors, d: int, n: int, beta: float) -> TangentGradient:
     if rt.dim != d**n:
         raise ShapeError(f"factor length {rt.dim} does not equal {d}^{n}")
     theta = np.array([math.atan2(rt.sigma2, rt.sigma1)])
-    _, u, v = rt.stack()
-    frames = np.stack([u, v], axis=1)
-    _, gtheta, gframes, _ = _evaluate((d,) * n, beta, theta, frames)
+    _, gtheta, gframes, _ = _evaluate((d,) * n, beta, theta, rt.stack()[1])
     return TangentGradient(theta=float(gtheta[0]), u=gframes[0, 0], v=gframes[0, 1])
 
 
@@ -355,17 +353,16 @@ def _project_stiefel(frame: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _canonical_factors(theta: float, frames: np.ndarray) -> RankTwoFactors:
-    cols = []
-    for idx, s in enumerate((float(np.cos(theta)), float(np.sin(theta)))):
-        u = frames[0][:, idx]
-        v = frames[1][:, idx]
-        if s < 0:
-            s, u = -s, -u
-        cols.append((s, u, v))
-    if cols[0][0] < cols[1][0]:
-        cols.reverse()
-    (s1, u1, v1), (s2, u2, v2) = cols
-    return RankTwoFactors(sigma1=s1, sigma2=s2, u1=u1, v1=v1, u2=u2, v2=v2)
+    """The search point ``(theta, frames)`` of one restart, with singular
+    values made nonnegative (a negative one flips its U column) and sorted
+    in descending order (the columns swap when sigma1 < sigma2)."""
+    sigma = np.array([np.cos(theta), np.sin(theta)])
+    frames = frames.copy()
+    neg = sigma < 0
+    sigma[neg] = -sigma[neg]
+    frames[0, :, neg] = -frames[0, :, neg]
+    order = [1, 0] if sigma[0] < sigma[1] else [0, 1]
+    return RankTwoFactors.from_stack(sigma[None, order], frames[None, ..., order])
 
 
 def _vec_to_pairs(vec: np.ndarray) -> list:

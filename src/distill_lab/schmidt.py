@@ -58,14 +58,10 @@ def max_overlap_sr_k(state: MultipartiteState, k: int) -> float:
 
     Equals the sum of the k largest squared Schmidt coefficients.
     """
-    a = psi_iso(state).data
-    d = a.shape[0]
+    s = schmidt_decompose(state).coefficients
     k = int(k)
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in 1..{d}, got {k}")
-    # u and v are computed though unused: the values-only SVD takes another
-    # LAPACK path, whose values may differ in the last bits.
-    _, s, _ = np.linalg.svd(a, full_matrices=False)
+    if not 1 <= k <= s.size:
+        raise ValueError(f"k must lie in 1..{s.size}, got {k}")
     return float(np.sum(s[:k] ** 2))
 
 

@@ -100,9 +100,9 @@ def beta_bound(n: int, tol: float = 1e-12) -> float:
     """
     n = int(n)
     if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
+        raise ShapeError(f"copy count must be >= 1, got {n}")
     if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+        raise ShapeError(f"tolerance must be positive and finite, got {tol}")
 
     def phi(b: float) -> float:
         return 1.0 + (1.0 + b) ** n - (1.0 - b) ** n

@@ -68,6 +68,23 @@ class TestRankTwoFactors:
         with pytest.raises(ShapeError):
             RankTwoFactors(math.nan, 0.0, e0, e0, e1, e1)
 
+    def test_invariants_enforced_on_the_v_frame(self):
+        # one check covers both frames: break V alone, U stays valid
+        e0, e1 = np.eye(4, dtype=complex)[:2]
+        s = 1 / math.sqrt(2)
+        with pytest.raises(ShapeError, match="unit norm"):
+            RankTwoFactors(s, s, e0, e0, e1, 2 * e1)  # v2
+        with pytest.raises(ShapeError, match="orthogonal"):
+            RankTwoFactors(s, s, e0, e0, e1, (e0 + e1) / math.sqrt(2))  # v1, v2
+
+    def test_stack_round_trips_bitwise(self):
+        rt = random_rank_two(np.random.default_rng(5), 9)
+        sigma, frames = rt.stack()
+        assert sigma.shape == (1, 2) and frames.shape == (1, 2, 9, 2)
+        back = RankTwoFactors.from_stack(sigma, frames)
+        for name in ("sigma1", "sigma2", "u1", "v1", "u2", "v2"):
+            assert np.array_equal(getattr(back, name), getattr(rt, name))
+
 
 class TestQFunctional:
     def test_single_slot_identity_value(self):
@@ -123,7 +140,7 @@ class TestQFunctionalStack:
         block_rng = np.random.default_rng(8)
         single_rng = np.random.default_rng(8)
         for count in blocks:
-            stack = random_rank_two_stack(block_rng, 27, count)
+            stack = random_rank_two_stack([block_rng] * count, 27)
             for value in q_functional_stack(assemble_stack(*stack), dims, -0.3):
                 assert value == q_functional(random_rank_two(single_rng, 27).to_matrix(dims), -0.3)
 
@@ -154,7 +171,7 @@ class TestRandomRankTwoStack:
     @pytest.mark.parametrize("dim", [4, 9, 27])
     def test_block_reproduces_successive_draws_bitwise(self, dim):
         block_rng, single_rng, reference_rng = (np.random.default_rng(21) for _ in range(3))
-        stack = random_rank_two_stack(block_rng, dim, 12)
+        stack = random_rank_two_stack([block_rng] * 12, dim)
         matrices = assemble_stack(*stack)
         for row in range(12):
             s1, s2, qu, qv = reference_haar_frames(reference_rng, dim)
@@ -182,15 +199,15 @@ class TestRandomRankTwoStack:
 class TestPqrStack:
     @pytest.mark.parametrize("d", [2, 3])
     def test_rows_match_pqr_bitwise(self, d):
-        sigma, u, v = random_rank_two_stack(np.random.default_rng(d), d * d, 25)
-        p, q, r = pqr_stack(u, v, d)
+        sigma, frames = random_rank_two_stack([np.random.default_rng(d)] * 25, d * d)
+        p, q, r = pqr_stack(frames, d)
         for row in range(25):
-            assert (p[row], q[row], r[row]) == pqr(RankTwoFactors.from_stack(sigma, u, v, row), d)
+            assert (p[row], q[row], r[row]) == pqr(RankTwoFactors.from_stack(sigma, frames, row), d)
 
     def test_length_must_reshape(self):
-        _, u, v = random_rank_two_stack(np.random.default_rng(0), 9, 2)
+        _, frames = random_rank_two_stack([np.random.default_rng(0)] * 2, 9)
         with pytest.raises(ShapeError):
-            pqr_stack(u, v, 2)
+            pqr_stack(frames, 2)
 
 
 class TestFBilinear:

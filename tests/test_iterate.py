@@ -8,6 +8,7 @@ from distill_lab.distill import merge_operator
 from distill_lab.errors import DimensionLimitError, ShapeError, SymmetryError
 from distill_lab.iterate import (
     IterateState,
+    certify_config,
     certify_iterate,
     e_step,
     initial_iterate,
@@ -20,6 +21,7 @@ from distill_lab.linalg import (
     permutation_matrix,
     permute_subsystems,
 )
+from distill_lab.optimize import SearchConfig
 from distill_lab.states import WernerParams, werner_partial_transpose, werner_state
 
 
@@ -184,10 +186,7 @@ class TestCertifyIterate:
         assert bundle.kind == "distillation-witness"
         assert bundle.params["d"] == 2 and bundle.params["n"] == 1
 
-    def test_sign_agreement_with_direct_minimization(self):
-        from distill_lab.optimize import SearchConfig, minimize_q
-
+    def test_step_one_is_the_direct_search(self):
         for beta in (-0.6, -0.5, -0.3, -0.25, -0.1):
-            min_value, _ = certify_iterate(WernerParams(2, beta), 1, restarts=8, seed=6)
-            report = minimize_q(SearchConfig(d=2, n=2, beta=beta, restarts=8, seed=6))
-            assert (min_value < -1e-9) == (report.best_value < -1e-9)
+            cfg = certify_config(WernerParams(2, beta), 1, 8, 6)
+            assert cfg == SearchConfig(d=2, n=2, beta=beta, restarts=8, seed=6)

@@ -22,6 +22,7 @@ from distill_lab.optimize import (
     MAX_BACKTRACKS,
     STOP_REASONS,
     SearchConfig,
+    _canonical_factors,
     _descend_block,
     _evaluate,
     _lift,
@@ -404,6 +405,20 @@ class TestGradQ:
         rt = random_rank_two(rng, 4)
         with pytest.raises(ShapeError):
             grad_q(rt, 3, 1, -0.5)
+
+
+class TestCanonicalFactors:
+    @pytest.mark.parametrize("quadrant", [0, 1, 2, 3])
+    @pytest.mark.parametrize("offset", [0.2, 1.2])
+    def test_nonnegative_descending_and_same_point(self, quadrant, offset):
+        # the descent leaves theta anywhere on the circle
+        theta = quadrant * math.pi / 2.0 + offset
+        rng = np.random.default_rng(quadrant)
+        frames = _qf(rng.standard_normal((2, 6, 2)) + 1j * rng.standard_normal((2, 6, 2)))
+        point = _canonical_factors(theta, frames)
+        assert point.sigma1 >= point.sigma2 >= 0.0
+        expect = assemble(theta, frames[0], frames[1])
+        assert np.max(np.abs(point.assemble() - expect)) <= 1e-15
 
 
 class TestWitnessTensor:
