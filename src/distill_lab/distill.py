@@ -103,9 +103,11 @@ class RankTwoFactors:
 
 def random_rank_two(rng: np.random.Generator, dim: int) -> RankTwoFactors:
     """Sample unit-norm rank-<=2 factors as the search draws a restart's
-    start: a uniform singular angle, then Haar frames (a stack of one from
-    ``random_rank_two_stack``)."""
-    return RankTwoFactors.from_stack(*random_rank_two_stack([rng], dim))
+    start: a uniform singular angle, then Haar frames (the sample
+    ``random_rank_two_stack([rng], dim)`` holds; ``RankTwoFactors`` runs
+    the checks)."""
+    theta, frames = _rank_two_draw([rng], int(dim))
+    return RankTwoFactors.from_stack(np.stack([np.cos(theta), np.sin(theta)], axis=-1), frames)
 
 
 def random_rank_two_stack(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distill import RankTwoFactors, _rank_two_draw
+from .distill import RankTwoFactors, _rank_two_draw, _real_inner
 from .errors import DimensionLimitError, ShapeError
 from .linalg import ComplexMatrix, _qf, _seed_blocks, _trace_slot
 
@@ -29,9 +29,17 @@ MINIMIZE_SIDE_CAP = 256
 
 DEFAULT_SEED = 0xD157
 
+# Armijo sufficient-decrease constant and the factor a rejected trial step
+# is cut by.  An accepted step sets the next trial by Barzilai-Borwein
+# (``_bb_step``), its quotient clipped to [BB_MIN_STEP, BB_MAX_STEP].  A
+# rejected trial t ends the restart with ``line_search`` once its
+# first-order decrease t * |g|^2 is at most ROUNDING_STOP * max(1, |value|):
+# below that the Armijo test compares rounding noise.
 ARMIJO_C = 1e-4
 ARMIJO_FACTOR = 0.5
-MAX_BACKTRACKS = 60
+BB_MIN_STEP = 1e-12
+BB_MAX_STEP = 10.0
+ROUNDING_STOP = 4.0 * np.finfo(np.float64).eps
 
 # Why a restart stopped; RestartRecord.stop_reason holds one of these.
 STOP_REASONS = ("grad_tol", "max_iters", "line_search")
@@ -124,8 +132,9 @@ def minimize_q(cfg: SearchConfig) -> SearchReport:
 
     Each restart draws a uniform singular angle and Haar frames
     (``distill._rank_two_draw``), then runs Armijo-backtracked descent with
-    QR re-orthonormalization, stopping at ``grad_tol``, at ``max_iters`` or
-    when ``MAX_BACKTRACKS`` halvings all fail; its record names which.  The
+    Barzilai-Borwein trial steps and QR re-orthonormalization, stopping at
+    ``grad_tol``, at ``max_iters`` or when a rejected trial promised a
+    decrease below the value's rounding level; its record names which.  The
     report is deterministic given the config (restart seeds derive from
     ``cfg.seed``; the best restart is the first one with the least value),
     except for the recorded wall time.
@@ -252,46 +261,72 @@ def _descend_block(cfg: SearchConfig, seeds: list[int]):
     restarts advancing as one stack, one candidate per live row per round.
 
     Returns per-restart arrays ``(value, theta, frames, iterations, stop)``,
-    ``stop`` indexing ``STOP_REASONS``.  Each row keeps its own trial step,
-    backtrack count and stop flag, so it runs exactly the serial algorithm:
-    an accepted candidate becomes the point, hands over the value and
-    gradient evaluated with it and doubles the trial step (at most 1); a
-    rejected one halves it.
+    ``stop`` indexing ``STOP_REASONS``.  Each row keeps its own trial step
+    and stop flag, so it runs exactly the serial algorithm: the first trial
+    is 1; an accepted candidate becomes the point, hands over the value and
+    gradient evaluated with it and sets the next trial by ``_bb_step``; a
+    rejected one halves the trial, and the row stops with ``line_search``
+    once the rejected trial promised a decrease t * |g|^2 below the value's
+    rounding level.  The working arrays hold only the live rows; a row's
+    final state is written out when it stops.
     """
     theta, frames = _rank_two_draw([np.random.default_rng(seed) for seed in seeds], cfg.side)
     value, gtheta, gframes, gn2 = _evaluate(cfg.dims, cfg.beta, theta, frames)
+    rows = np.arange(len(seeds))
     step = np.ones(len(seeds))
     iterations = np.zeros(len(seeds), dtype=np.int64)
-    backtracks = np.zeros(len(seeds), dtype=np.int64)
     stop = np.where(np.sqrt(gn2) <= cfg.grad_tol, _GRAD_TOL, _LIVE)
-    live = np.flatnonzero(stop == _LIVE)
-    while live.size:
-        t = step[live]
-        cand_theta = theta[live] - t * gtheta[live]
-        cand_frames = _qf(frames[live] - t[:, None, None, None] * gframes[live])
+    out = tuple(np.empty_like(a) for a in (value, theta, frames, iterations, stop))
+    while True:
+        done = stop != _LIVE
+        if done.any():
+            for dest, src in zip(out, (value, theta, frames, iterations, stop)):
+                dest[rows[done]] = src[done]
+            keep = ~done
+            rows, theta, frames, value, gtheta, gframes, gn2, step, iterations = (
+                a[keep] for a in (rows, theta, frames, value, gtheta, gframes, gn2, step, iterations)
+            )
+        if not rows.size:
+            return out
+        t = step
+        cand_theta = theta - t * gtheta
+        cand_frames = _qf(frames - t[:, None, None, None] * gframes)
         cand_value, cand_gtheta, cand_gframes, cand_gn2 = _evaluate(cfg.dims, cfg.beta, cand_theta, cand_frames)
-        ok = cand_value <= value[live] - ARMIJO_C * t * gn2[live]
-        acc = live[ok]
-        theta[acc] = cand_theta[ok]
-        frames[acc] = cand_frames[ok]
-        value[acc] = cand_value[ok]
-        gtheta[acc] = cand_gtheta[ok]
-        gframes[acc] = cand_gframes[ok]
-        gn2[acc] = cand_gn2[ok]
-        iterations[acc] += 1
-        backtracks[live] = np.where(ok, 0, backtracks[live] + 1)
-        step[live] = np.where(ok, np.minimum(1.0, 2.0 * t), ARMIJO_FACTOR * t)
-        stop[live] = np.select(
-            [
-                iterations[live] == cfg.max_iters,
-                np.sqrt(gn2[live]) <= cfg.grad_tol,
-                backtracks[live] == MAX_BACKTRACKS,
-            ],
-            [_MAX_ITERS, _GRAD_TOL, _LINE_SEARCH],
-            _LIVE,
-        )
-        live = live[stop[live] == _LIVE]
-    return value, theta, frames, iterations, stop
+        ok = cand_value <= value - ARMIJO_C * t * gn2
+        inner = gtheta * cand_gtheta + _real_inner(gframes, cand_gframes)
+        step = np.where(ok, _bb_step(t, gn2, cand_gn2, inner), ARMIJO_FACTOR * t)
+        if ok.all():
+            stop = _LIVE
+            theta, frames, value, gtheta, gframes, gn2 = (
+                cand_theta, cand_frames, cand_value, cand_gtheta, cand_gframes, cand_gn2
+            )
+        else:
+            # a negated test, so that a non-finite value stalls at once
+            stalled = ~ok & ~(t * gn2 > ROUNDING_STOP * np.maximum(1.0, np.abs(value)))
+            stop = np.where(stalled, _LINE_SEARCH, _LIVE)
+            for dest, src in zip((theta, frames, value, gtheta, gframes, gn2),
+                                 (cand_theta, cand_frames, cand_value, cand_gtheta, cand_gframes, cand_gn2)):
+                np.copyto(dest, src, where=ok[(...,) + (None,) * (src.ndim - 1)])
+        iterations += ok
+        stop = np.where(np.sqrt(gn2) <= cfg.grad_tol, _GRAD_TOL, stop)
+        stop = np.where(iterations == cfg.max_iters, _MAX_ITERS, stop)
+
+
+def _bb_step(t, gn2, new_gn2, inner):
+    """Next trial step after an accepted move s = -t g, with y = g_new - g.
+
+    The Barzilai-Borwein (BB2) step <s, y>/<y, y> = t (|g|^2 - <g, g_new>) /
+    (|g|^2 + |g_new|^2 - 2 <g, g_new>), from ``gn2`` = |g|^2, ``new_gn2`` =
+    |g_new|^2 and ``inner`` = <g, g_new>, clipped to [``BB_MIN_STEP``,
+    ``BB_MAX_STEP``].  Where the numerator or the denominator is not
+    positive (no positive curvature seen along the move, as near a saddle)
+    the step doubles instead, unclipped; the Armijo test bounds it.
+    """
+    num = gn2 - inner
+    den = gn2 + new_gn2 - 2.0 * inner
+    curved = (num > 0.0) & (den > 0.0)
+    bb = np.minimum(np.maximum(t * num / np.where(curved, den, 1.0), BB_MIN_STEP), BB_MAX_STEP)
+    return np.where(curved, bb, 2.0 * t)
 
 
 def _evaluate(dims: tuple[int, ...], beta: float, theta: np.ndarray, frames: np.ndarray):

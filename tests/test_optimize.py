@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from distill_lab import optimize
 from distill_lab.distill import (
     RankTwoFactors,
+    _rank_two_draw,
+    _real_inner,
     f_bilinear,
     q_functional,
     random_rank_two,
@@ -19,9 +21,12 @@ from distill_lab.linalg import ComplexMatrix, MultipartiteState, _child_seed, _q
 from distill_lab.optimize import (
     ARMIJO_C,
     ARMIJO_FACTOR,
-    MAX_BACKTRACKS,
+    BB_MAX_STEP,
+    BB_MIN_STEP,
+    ROUNDING_STOP,
     STOP_REASONS,
     SearchConfig,
+    _bb_step,
     _canonical_factors,
     _descend_block,
     _evaluate,
@@ -64,39 +69,52 @@ def form_value(x, dims, beta):
 
 
 def serial_descent(cfg, seed):
-    """One restart of the search written serially on 2-D arrays: the
-    reference for the stacked loop.  Returns (value, iterations, stop_reason)."""
+    """One restart of the search written serially: the reference for the
+    stacked loop.  Returns (value, iterations, stop_reason).
+
+    A converged restart ends with a run of Armijo tests on rounding noise,
+    so its iteration count is reproducible only under the same rounding.
+    The reference therefore evaluates through ``_evaluate`` on stacks of one
+    (a row's arithmetic does not depend on its stack) and checks each
+    evaluation against the gradient written out on 2-D arrays.
+    """
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, math.pi / 2.0)
+    theta = np.array([rng.uniform(0.0, math.pi / 2.0)])
     u = _qf(rng.standard_normal((cfg.side, 2)) + 1j * rng.standard_normal((cfg.side, 2)))
     v = _qf(rng.standard_normal((cfg.side, 2)) + 1j * rng.standard_normal((cfg.side, 2)))
+    frames = np.stack([u, v])[None]
 
-    def evaluate(theta, u, v):
-        x = assemble(theta, u, v)
+    def evaluate(theta, frames):
+        value, gtheta, gframes, gn2 = _evaluate(cfg.dims, cfg.beta, theta, frames)
+        (u, v), th = frames[0], float(theta[0])
+        x = assemble(th, u, v)
         y = _lift(x, cfg.dims, cfg.beta)
-        s1, s2 = math.cos(theta), math.sin(theta)
+        s1, s2 = math.cos(th), math.sin(th)
         yv, yhu = y @ v, y.conj().T @ u
-        gtheta = 2.0 * (-s2 * np.vdot(u[:, 0], yv[:, 0]) + s1 * np.vdot(u[:, 1], yv[:, 1])).real
-        gu = _project_stiefel(u, 2.0 * yv * [s1, s2])
-        gv = _project_stiefel(v, 2.0 * yhu * [s1, s2])
-        gn2 = gtheta**2 + np.sum(np.abs(gu) ** 2) + np.sum(np.abs(gv) ** 2)
-        return np.vdot(x, y).real, (gtheta, gu, gv), gn2
+        assert value[0] == pytest.approx(np.vdot(x, y).real, abs=1e-12)
+        gt = 2.0 * (-s2 * np.vdot(u[:, 0], yv[:, 0]) + s1 * np.vdot(u[:, 1], yv[:, 1])).real
+        assert gtheta[0] == pytest.approx(gt, abs=1e-12)
+        assert np.allclose(gframes[0, 0], _project_stiefel(u, 2.0 * yv * [s1, s2]), rtol=0, atol=1e-12)
+        assert np.allclose(gframes[0, 1], _project_stiefel(v, 2.0 * yhu * [s1, s2]), rtol=0, atol=1e-12)
+        return value[0], gtheta, gframes, gn2[0]
 
-    value, grad, gn2 = evaluate(theta, u, v)
-    step = 1.0
-    for iterations in range(cfg.max_iters):
+    value, gtheta, gframes, gn2 = evaluate(theta, frames)
+    t = 1.0
+    iterations = 0
+    while iterations < cfg.max_iters:
         if math.sqrt(gn2) <= cfg.grad_tol:
             return value, iterations, "grad_tol"
-        t = min(1.0, 2.0 * step)
-        for _ in range(MAX_BACKTRACKS):
-            cand = (theta - t * grad[0], _qf(u - t * grad[1]), _qf(v - t * grad[2]))
-            cand_value, cand_grad, cand_gn2 = evaluate(*cand)
-            if cand_value <= value - ARMIJO_C * t * gn2:
-                break
-            t *= ARMIJO_FACTOR
-        else:
+        cand = (theta - t * gtheta, _qf(frames - t * gframes))
+        cand_value, cand_gtheta, cand_gframes, cand_gn2 = evaluate(*cand)
+        if cand_value <= value - ARMIJO_C * t * gn2:
+            inner = gtheta[0] * cand_gtheta[0] + _real_inner(gframes, cand_gframes)[0]
+            t = float(_bb_step(t, gn2, cand_gn2, inner))
+            (theta, frames), value, gtheta, gframes, gn2 = cand, cand_value, cand_gtheta, cand_gframes, cand_gn2
+            iterations += 1
+        elif t * gn2 <= ROUNDING_STOP * max(1.0, abs(value)):
             return value, iterations, "line_search"
-        (theta, u, v), value, grad, gn2, step = cand, cand_value, cand_grad, cand_gn2, t
+        else:
+            t *= ARMIJO_FACTOR
     return value, cfg.max_iters, "max_iters"
 
 
@@ -159,25 +177,38 @@ class TestQForm:
     def test_reused_lift_gives_the_fresh_gradient(self):
         # A restart carries the value and gradient evaluated with its accepted
         # candidate into the next step.  So each step must be an exact
-        # retraction, by a power of two, along the fresh gradient at the point
-        # the step left.
-        seeds = [45, 46, 47]
-        steps = [2.0**-j for j in range(61)]
+        # retraction along the fresh gradient at the point the step left, by
+        # a step from the row's trial sequence: its trial (1 at the start,
+        # then the BB2 step of the move before) halved j times.
+        dims, beta, seeds = (2, 2, 2), -0.6, [45, 46, 47]
         capped = STOP_REASONS.index("max_iters")
-        before = _descend_block(SearchConfig(d=2, n=3, beta=-0.6, max_iters=1), seeds)
-        for k in range(2, 7):
-            after = _descend_block(SearchConfig(d=2, n=3, beta=-0.6, max_iters=k), seeds)
-            value, theta, frames, _, stop = before
-            assert list(stop) == [capped] * len(seeds)
+        theta, frames = _rank_two_draw([np.random.default_rng(s) for s in seeds], 8)
+        before = (_evaluate(dims, beta, theta, frames)[0], theta, frames)
+        trials = [1.0] * len(seeds)
+        moves = [None] * len(seeds)
+        for k in range(1, 7):
+            after = _descend_block(SearchConfig(d=2, n=3, beta=beta, max_iters=k), seeds)
+            assert list(after[4]) == [capped] * len(seeds)
+            value, theta, frames = before
             for r in range(len(seeds)):
-                fresh_value, gtheta, gframes, _ = _evaluate((2, 2, 2), -0.6, theta[r : r + 1], frames[r : r + 1])
+                fresh_value, gtheta, gframes, gn2 = _evaluate(dims, beta, theta[r : r + 1], frames[r : r + 1])
                 assert fresh_value[0] == value[r]
-                assert any(
-                    theta[r] - t * gtheta[0] == after[1][r]
-                    and np.array_equal(_qf(frames[r] - t * gframes[0]), after[2][r])
-                    for t in steps
+                if moves[r] is not None:
+                    t, g_theta, g_frames, g_n2 = moves[r]
+                    inner = g_theta * gtheta + _real_inner(g_frames, gframes)
+                    trials[r] = float(_bb_step(t, g_n2, gn2, inner)[0])
+                t = next(
+                    (
+                        t
+                        for t in (trials[r] * 2.0**-j for j in range(80))
+                        if theta[r] - t * gtheta[0] == after[1][r]
+                        and np.array_equal(_qf(frames[r] - t * gframes[0]), after[2][r])
+                    ),
+                    None,
                 )
-            before = after
+                assert t is not None
+                moves[r] = (t, gtheta, gframes, gn2)
+            before = after[:3]
 
     @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3, 2)])
     def test_stacked_evaluation_matches_each_point_alone(self, dims):
@@ -299,12 +330,12 @@ class TestMinimizeQ:
         "d,n,beta,max_iters", [(2, 2, -0.4, 60), (3, 2, -0.4, 60), (2, 3, -0.6, 120), (3, 1, -0.6, 12)]
     )
     def test_restarts_follow_the_serial_descent(self, d, n, beta, max_iters):
-        # the stacked loop regroups the arithmetic, so values agree to
-        # rounding while every restart takes the same steps and stops alike
+        # the stacked loop keeps only live rows and writes accepted rows by
+        # mask; each restart still takes the serial steps bit for bit
         cfg = SearchConfig(d=d, n=n, beta=beta, restarts=6, max_iters=max_iters, seed=116)
         for record in minimize_q(cfg).per_restart:
             value, iterations, stop_reason = serial_descent(cfg, record.seed)
-            assert record.final_value == pytest.approx(value, abs=1e-12)
+            assert record.final_value == value
             assert (record.iterations, record.stop_reason) == (iterations, stop_reason)
 
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 5)])
@@ -352,12 +383,53 @@ class TestMinimizeQ:
         assert {r.stop_reason for r in done.per_restart} <= {"grad_tol", "line_search"}
         assert max(r.iterations for r in done.per_restart) < 2000
 
+    @pytest.mark.parametrize("d,n,beta,floor", [(2, 1, -0.5, 0.0), (2, 2, -1.0, -1.0)])
+    def test_reaches_the_product_reference_where_steepest_descent_stalled(self, d, n, beta, floor):
+        # r(n, beta) = min(1, 1+2b, (1+2b)(1+b)^(n-1)); with trial steps
+        # capped at 1 every restart here ran to the 2000-iteration cap
+        # 1.2e-4 and 2.5e-4 above it
+        report = minimize_q(SearchConfig(d=d, n=n, beta=beta, restarts=8, seed=118))
+        assert report.best_value == pytest.approx(floor, abs=1e-8)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_value_raises_with_its_seed(self, monkeypatch):
         monkeypatch.setattr(optimize, "_lift", lambda x, dims, beta: x * np.nan)
         cfg = SearchConfig(d=2, n=1, beta=-0.3, restarts=3, seed=115)
         with pytest.raises(FloatingPointError, match=rf"restart 0 \(seed {_child_seed(115, 0)}\)"):
             minimize_q(cfg)
+
+
+class TestBBStep:
+    def test_is_the_bb2_quotient(self):
+        # s = -t g and y = g_new - g give <s, y>/<y, y>
+        g, g_new, t = np.array([3.0, -1.0]), np.array([1.0, 0.5]), 0.25
+        s, y = -t * g, g_new - g
+        step = _bb_step(t, g @ g, g_new @ g_new, g @ g_new)
+        assert step == pytest.approx((s @ y) / (y @ y), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "g_new",
+        [[3.0, 0.0], [1.0, 1.0], [2.0, 0.0]],
+        ids=["negative-numerator", "no-change", "zero-numerator"],
+    )
+    def test_non_positive_curvature_doubles(self, g_new):
+        g, g_new = np.array([1.0, 1.0]), np.array(g_new)
+        assert _bb_step(0.125, g @ g, g_new @ g_new, g @ g_new) == 0.25
+
+    def test_clipped(self):
+        t, g = 1.0, np.array([1.0, 0.0])
+        # the gradient barely shrinks along the move: quotient 1e6
+        g_new = (1.0 - 1e-6) * g
+        assert _bb_step(t, g @ g, g_new @ g_new, g @ g_new) == BB_MAX_STEP
+        # a huge new gradient orthogonal to the old: quotient 1e-30
+        g_new = np.array([0.0, 1e15])
+        assert _bb_step(t, g @ g, g_new @ g_new, g @ g_new) == BB_MIN_STEP
+        # the doubling is not: the Armijo test bounds it
+        assert _bb_step(8.0, g @ g, g @ g, g @ g) == 16.0
+
+    def test_each_row_takes_its_own_branch(self):
+        steps = _bb_step(np.array([1.0, 0.5]), np.array([1.0, 4.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        assert steps.tolist() == [2.0, 0.5 * 4.0 / 5.0]
 
 
 class TestGradQ:
