@@ -21,6 +21,7 @@ from .linalg import (
     HERMITICITY_TOL,
     ComplexMatrix,
     SubsystemPermutation,
+    _adopt,
     kron,
     partial_transpose,
     permute_subsystems,
@@ -58,23 +59,30 @@ class IterateState:
             raise ShapeError(
                 f"matrix dims {m.row_dims}/{m.col_dims} do not match two parts of dim {local_dim}"
             )
+        # Each comparison is written so that NaN fails it: a non-finite entry
+        # makes the trace or the Hermiticity deviation NaN or infinite.
         tr = complex(np.trace(m.data))
-        if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
             raise ShapeError(f"density matrix trace must be 1 within {DENSITY_TRACE_TOL}, got {tr}")
-        dev = float(np.max(np.abs(m.data - m.data.conj().T)))
-        if dev > HERMITICITY_TOL:
+        # A real matrix is checked in real arithmetic: max|m - m^H| is then
+        # max|r - r^T|, and Hermitian PSD is real-symmetric PSD, so the
+        # decisions match the complex route at a fraction of its cost.
+        a = m.data if m.data.imag.any() else m.data.real
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, rejected below
+            dev = float(np.max(np.abs(a - a.conj().T)))
+        if not dev <= HERMITICITY_TOL:
             raise SymmetryError(f"density matrix must be Hermitian, deviation {dev:.3e}")
         # The smallest eigenvalue is at least DENSITY_PSD_TOL exactly when the
         # diagonally shifted matrix has a Cholesky factor (up to rounding far
         # below the tolerance).  That takes about a quarter of the flops of
         # eigvalsh, which runs only to report a rejection.
-        shifted = np.array(m.data)
+        shifted = np.array(a)
         shifted.flat[:: m.rows + 1] -= DENSITY_PSD_TOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(m.data)[0])
-            if min_eig < DENSITY_PSD_TOL:
+            min_eig = float(np.linalg.eigvalsh(a)[0])
+            if not min_eig >= DENSITY_PSD_TOL:
                 raise ShapeError(
                     f"density matrix must be PSD within {DENSITY_PSD_TOL}, min eig {min_eig:.3e}"
                 ) from None
@@ -100,7 +108,8 @@ def e_step(s: IterateState) -> IterateState:
     # kron rejects a side past DEFAULT_DIM_CAP before it allocates
     perm = SubsystemPermutation(EXCHANGE_PERM, (d, d, d, d))
     exchanged = permute_subsystems(kron(s.matrix, s.matrix), perm)
-    merged = ComplexMatrix(exchanged.data, (new_local, new_local), (new_local, new_local))
+    # the relabel shares the exchanged buffer, which nothing else can write
+    merged = _adopt(exchanged.data, (new_local, new_local), (new_local, new_local))
     # Each intermediate is as large as the output: free it before the new
     # state's positivity check allocates its own copies.
     del exchanged

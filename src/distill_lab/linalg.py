@@ -44,6 +44,13 @@ class ComplexMatrix:
     ``row_dims`` and ``col_dims`` record how the flat row/column indices
     factor into subsystem indices; their products must equal the matrix
     shape.  Instances are immutable: the backing array is marked read-only.
+
+    Copy policy: ``ComplexMatrix(data, ...)`` always copies ``data``, so a
+    caller's array can change afterwards without touching the matrix.  The
+    operations of this module (``kron``, ``partial_trace``,
+    ``partial_transpose``, ``permute_subsystems``) and ``iterate.e_step``
+    instead take over the array they have just built, through ``_adopt``:
+    no other reference to it can write, so marking it read-only suffices.
     """
 
     data: np.ndarray
@@ -51,7 +58,10 @@ class ComplexMatrix:
     col_dims: tuple[int, ...]
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.complex128, order="C", copy=True)
+        self._freeze(np.array(self.data, dtype=np.complex128, order="C", copy=True))
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        """Validate ``arr`` against the dims, mark it read-only and keep it."""
         if arr.ndim != 2:
             raise ShapeError(f"expected a 2-D array, got ndim={arr.ndim}")
         row_dims = _as_dims(self.row_dims)
@@ -91,6 +101,21 @@ class ComplexMatrix:
         return ComplexMatrix(np.eye(n, dtype=np.complex128), dims, dims)
 
 
+def _adopt(arr: np.ndarray, row_dims, col_dims) -> ComplexMatrix:
+    """A ``ComplexMatrix`` that takes over ``arr`` without the defensive copy.
+
+    Only for an array the caller has just built and holds no writable
+    reference to, or a view of another matrix's read-only data.  It is
+    copied only if it is not already a C-contiguous complex128 array; the
+    dims are validated as the constructor does.
+    """
+    m = object.__new__(ComplexMatrix)
+    object.__setattr__(m, "row_dims", row_dims)
+    object.__setattr__(m, "col_dims", col_dims)
+    m._freeze(np.ascontiguousarray(arr, dtype=np.complex128))
+    return m
+
+
 @dataclass(frozen=True)
 class MultipartiteState:
     """Normalized pure state vector with an ordered list of subsystem dims."""
@@ -106,7 +131,8 @@ class MultipartiteState:
                 f"dims {dims} do not multiply to vector length {vec.size}"
             )
         nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > NORMALIZATION_TOL:
+        # written so that a NaN norm fails it too
+        if not abs(nrm - 1.0) <= NORMALIZATION_TOL:
             raise ShapeError(
                 f"state must be normalized within {NORMALIZATION_TOL}, norm={nrm!r}"
             )
@@ -145,9 +171,7 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
         raise DimensionLimitError(
             f"kron result {rows}x{cols} exceeds per-side cap {DEFAULT_DIM_CAP}"
         )
-    return ComplexMatrix(
-        np.kron(a.data, b.data), a.row_dims + b.row_dims, a.col_dims + b.col_dims
-    )
+    return _adopt(np.kron(a.data, b.data), a.row_dims + b.row_dims, a.col_dims + b.col_dims)
 
 
 def partial_trace(m: ComplexMatrix, subsystems: Iterable[int]) -> ComplexMatrix:
@@ -171,7 +195,7 @@ def partial_trace(m: ComplexMatrix, subsystems: Iterable[int]) -> ComplexMatrix:
     data, dims = m.data, m.row_dims
     for removed, s in enumerate(slots):
         data, dims = _trace_slot(data, dims, s - removed)
-    return ComplexMatrix(data, dims, dims)
+    return _adopt(data, dims, dims)
 
 
 def _trace_slot(a: np.ndarray, dims: tuple[int, ...], slot: int):
@@ -205,7 +229,7 @@ def partial_transpose(m: ComplexMatrix, subsystem: int) -> ComplexMatrix:
     if not 0 <= s < n:
         raise ShapeError(f"subsystem index {s} out of range for {n} slots")
     t = np.swapaxes(m.as_tensor(), s, n + s)
-    return ComplexMatrix(t.reshape(m.rows, m.cols), m.row_dims, m.col_dims)
+    return _adopt(t.reshape(m.rows, m.cols), m.row_dims, m.col_dims)
 
 
 def permute_subsystems(m: ComplexMatrix, p: SubsystemPermutation) -> ComplexMatrix:
@@ -225,7 +249,7 @@ def permute_subsystems(m: ComplexMatrix, p: SubsystemPermutation) -> ComplexMatr
     new_dims = p.target_dims()
     t = np.transpose(m.as_tensor(), axes + tuple(a + n for a in axes))
     size = math.prod(new_dims)
-    return ComplexMatrix(t.reshape(size, size), new_dims, new_dims)
+    return _adopt(t.reshape(size, size), new_dims, new_dims)
 
 
 def permutation_matrix(p: SubsystemPermutation) -> ComplexMatrix:

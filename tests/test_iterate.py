@@ -59,24 +59,73 @@ class TestIterateState:
         IterateState(0, ComplexMatrix(rho, (2, 2), (2, 2)), 2)
 
     @staticmethod
-    def _with_smallest_eigenvalue(lam):
-        """Trace-one Hermitian 4x4 with spectrum (0.6, 0.4 - lam, 0, lam) in a random basis."""
+    def _with_smallest_eigenvalue(lam, real=False):
+        """Trace-one Hermitian 4x4 with spectrum (0.6, 0.4 - lam, 0, lam) in a
+        random unitary basis, or a random orthogonal one when ``real``."""
         rng = np.random.default_rng(0)
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        raw = rng.normal(size=(4, 4))
+        q, _ = np.linalg.qr(raw if real else raw + 1j * rng.normal(size=(4, 4)))
         m = q @ np.diag([0.6, 0.4 - lam, 0.0, lam]) @ q.conj().T
         return ComplexMatrix((m + m.conj().T) / 2.0, (2, 2), (2, 2))
 
     def test_psd_tolerance_boundary(self, monkeypatch):
-        with pytest.raises(ShapeError, match="min eig"):
-            IterateState(0, self._with_smallest_eigenvalue(-2e-10), 2)
+        # the complex basis takes the complex route, the orthogonal one the real
+        for real in (False, True):
+            below = self._with_smallest_eigenvalue(-2e-10, real)
+            assert below.data.imag.any() != real
+            with pytest.raises(ShapeError, match="min eig"):
+                IterateState(0, below, 2)
         self._forbid_spectrum(monkeypatch)
-        IterateState(0, self._with_smallest_eigenvalue(-0.5e-10), 2)
+        for real in (False, True):
+            IterateState(0, self._with_smallest_eigenvalue(-0.5e-10, real), 2)
 
     def test_hermiticity_checked_before_positivity(self):
-        bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(np.complex128)
-        bad[0, 1] = 1e-3  # also not PSD, but the Hermiticity check comes first
-        with pytest.raises(SymmetryError):
-            IterateState(0, ComplexMatrix(bad, (2, 2), (2, 2)), 2)
+        # a real and a complex non-Hermitian entry; both inputs are also not
+        # PSD, but the Hermiticity check comes first
+        for offdiag in (1e-3, 1e-3j):
+            bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(np.complex128)
+            bad[0, 1] = offdiag
+            with pytest.raises(SymmetryError):
+                IterateState(0, ComplexMatrix(bad, (2, 2), (2, 2)), 2)
+
+    def test_real_matrices_are_factored_in_real_arithmetic(self, monkeypatch):
+        seen = []
+        cholesky = np.linalg.cholesky
+
+        def recording(a):
+            seen.append(a.dtype)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        e_step(initial_iterate(WernerParams(3, -0.25)))
+        assert seen == [np.float64, np.float64]
+        seen.clear()
+        # Hermitian with a nonzero imaginary part: the complex route
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128)
+        rho[0, 1], rho[1, 0] = 0.05j, -0.05j
+        IterateState(0, ComplexMatrix(rho, (2, 2), (2, 2)), 2)
+        assert seen == [np.complex128]
+
+    @staticmethod
+    def _with_entries(entries):
+        m = np.eye(4, dtype=np.complex128) / 4.0
+        for (i, j), v in entries.items():
+            m[i, j] = v
+        return ComplexMatrix(m, (2, 2), (2, 2))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {(i, j): np.nan for i in range(4) for j in range(4)},
+            {(1, 1): np.nan},
+            {(0, 1): np.inf, (1, 0): np.inf},
+        ],
+        ids=["all-nan", "nan-diagonal", "inf-pair"],
+    )
+    def test_rejects_non_finite_entries(self, entries):
+        # NaN fails every check: none of these is a density matrix
+        with pytest.raises((ShapeError, SymmetryError)):
+            IterateState(0, self._with_entries(entries), 2)
 
 
 class TestEStep:
@@ -129,8 +178,9 @@ class TestEStep:
         assert np.allclose(np.sort(ev1), np.sort(np.outer(ev0, ev0).reshape(-1)), atol=1e-12)
 
     def test_frees_intermediates_before_the_check(self):
-        # the kron and exchange copies and the check's shifted copy and factor
-        # each match the output's size; keeping one more alive would show here
+        # the kron result and its exchange, which the output shares, peak at
+        # twice the output's size; the check's real shifted copy and factor are
+        # half of it each.  One more output-sized copy alive would show here.
         s0 = initial_iterate(WernerParams(5, -0.25))
         tracemalloc.start()
         try:
@@ -138,7 +188,13 @@ class TestEStep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * s1.matrix.data.nbytes
+        assert peak <= 2.25 * s1.matrix.data.nbytes
+
+    def test_output_is_read_only(self):
+        s1 = e_step(initial_iterate(WernerParams(2, -0.4)))
+        assert not s1.matrix.data.flags.writeable
+        with pytest.raises(ValueError):
+            s1.matrix.data[0, 0] = 1.0
 
     def test_dimension_cap(self):
         # d = 17 would step to side 17^4 = 83521, past DEFAULT_DIM_CAP = 2^16

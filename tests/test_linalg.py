@@ -39,6 +39,13 @@ class TestComplexMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
+    def test_copies_the_callers_array(self):
+        raw = np.eye(2, dtype=np.complex128)
+        m = ComplexMatrix(raw, (2,), (2,))
+        raw[0, 1] = 7.0
+        assert raw.flags.writeable
+        assert np.array_equal(m.data, np.eye(2))
+
     def test_identity_constructor(self):
         m = ComplexMatrix.identity((2, 3))
         assert m.rows == 6 and m.row_dims == (2, 3)
@@ -53,6 +60,29 @@ class TestMultipartiteState:
     def test_requires_matching_dims(self):
         with pytest.raises(ShapeError):
             MultipartiteState(np.array([1.0, 0.0]), (3,))
+
+    def test_rejects_a_nan_amplitude(self):
+        with pytest.raises(ShapeError, match="normalized"):
+            MultipartiteState(np.array([1.0, np.nan]), (2,))
+
+
+_OPERATIONS = {
+    "kron": lambda m: kron(m, m),
+    "permute_subsystems": lambda m: permute_subsystems(m, SubsystemPermutation((1, 0), (2, 3))),
+    # an identity relabel shares the input's read-only buffer
+    "permute_subsystems-identity": lambda m: permute_subsystems(m, SubsystemPermutation((0, 1), (2, 3))),
+    "partial_trace": lambda m: partial_trace(m, [1]),
+    "partial_transpose": lambda m: partial_transpose(m, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATIONS))
+def test_operation_results_are_read_only(name):
+    # the operations take over the array they build instead of copying it
+    out = _OPERATIONS[name](random_matrix(np.random.default_rng(11), (2, 3)))
+    assert not out.data.flags.writeable
+    with pytest.raises(ValueError):
+        out.data[0, 0] = 5.0
 
 
 class TestKron:
