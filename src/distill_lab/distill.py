@@ -23,7 +23,6 @@ from .linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
-    _complex_normal,
     _qf,
     _trace_slot,
     kron,
@@ -135,17 +134,19 @@ def _rank_two_draw(rngs, side: int):
     Returns ``(theta, frames)``: ``theta`` (R,) holds singular angles with
     sigma = (cos, sin), and ``frames`` is laid out as in
     ``random_rank_two_stack``.  Each generator draws in turn a uniform angle
-    in [0, pi/2), then the complex Gaussian U and V; ``linalg._qf``
-    orthonormalizes the stack, which makes the frames Haar distributed.  A
-    row depends only on its generator.  The search starts its restarts here.
+    in [0, pi/2), then the complex Gaussian U and V with one
+    ``standard_normal`` call (U.re, U.im, V.re, V.im, the values of four
+    ``(side, 2)`` calls); ``linalg._qf`` orthonormalizes the stack, which
+    makes the frames Haar distributed.  A row depends only on its generator.
+    The search starts its restarts here.
     """
     theta = np.empty(len(rngs))
-    raw = np.empty((len(rngs), 2, side, 2), dtype=np.complex128)
+    # (R, U/V, re/im, side, 2)
+    raw = np.empty((len(rngs), 2, 2, side, 2))
     for r, rng in enumerate(rngs):
         theta[r] = rng.uniform(0.0, math.pi / 2.0)
-        raw[r, 0] = _complex_normal(rng, (side, 2))
-        raw[r, 1] = _complex_normal(rng, (side, 2))
-    return theta, _qf(raw)
+        rng.standard_normal(out=raw[r])
+    return theta, _qf(raw[:, :, 0] + 1j * raw[:, :, 1])
 
 
 def assemble_stack(sigma: np.ndarray, frames: np.ndarray) -> np.ndarray:

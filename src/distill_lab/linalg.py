@@ -270,7 +270,11 @@ def permutation_matrix(p: SubsystemPermutation) -> ComplexMatrix:
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Complex Gaussian array of ``shape`` from one ``standard_normal`` call:
+    the real parts, then the imaginary parts, as two successive calls of
+    ``shape`` would draw them."""
+    g = rng.standard_normal((2, *shape))
+    return g[0] + 1j * g[1]
 
 
 def _qf(a: np.ndarray) -> np.ndarray:
@@ -294,10 +298,12 @@ def _sample_blocks(count: int, item_bytes: int):
 
     A block's working set stays under ``LIFT_BLOCK_BYTES``, and a block holds
     one item at least.  A search restart costs its lift, one complex matrix
-    of its side: 16 side^2 bytes.  An oracle sample costs four (the stack, a
-    temporary of assembling it, one of the squared norms, and the factors
-    with their QR work at small sides): 64 side^2 bytes.  Callers keep every
-    item's result independent of its block.
+    of its side: 16 side^2 bytes.  A complex oracle sample costs four (the
+    stack, a temporary of assembling it, one of the squared norms, and the
+    factors with their QR work at small sides): 64 side^2 bytes.  A Hessian
+    sample of the sweep is real: its float64 Hessian and one temporary of
+    building it, 16 side^2 bytes.  Callers keep every item's result
+    independent of its block.
     """
     block = max(1, LIFT_BLOCK_BYTES // item_bytes)
     for start in range(0, count, block):

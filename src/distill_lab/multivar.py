@@ -252,16 +252,14 @@ def hessian_spectrum_sweep(
     beta = WernerParams(d, beta).beta
     n = d * d
     rows = []
-    # an oracle sample's cost (``linalg._sample_blocks``) at the Hessian's side 2 d^2
-    for seeds in _seed_blocks(seed, samples, 64 * (2 * n) ** 2):
-        y = np.empty((len(seeds), n))
-        z = np.empty((len(seeds), n))
+    # a sample's real Hessian of side 2 d^2 and its temporaries (``linalg._sample_blocks``)
+    for seeds in _seed_blocks(seed, samples, 16 * (2 * n) ** 2):
+        yz = np.empty((2, len(seeds), n))
         for r, child in enumerate(seeds):
-            rng = np.random.default_rng(child)
-            y[r] = rng.standard_normal(n)
-            y[r] /= np.linalg.norm(y[r])
-            z[r] = rng.standard_normal(n)
-            z[r] /= np.linalg.norm(z[r])
+            yz[:, r] = np.random.default_rng(child).standard_normal((2, n))
+        # the stacked 1 x n by n x 1 products are the dots np.linalg.norm takes
+        yz /= np.sqrt(yz[:, :, None, :] @ yz[:, :, :, None])[:, :, 0]
+        y, z = yz
         min_eigs = np.linalg.eigvalsh(hessian_g_stack(y, z, y, z, beta))[:, 0]
         for r, (child, min_eig) in enumerate(zip(seeds, min_eigs.tolist())):
             if min_eig < HESSIAN_FINDING_THRESHOLD and bundle_dir is not None:

@@ -272,9 +272,9 @@ class TestHessian:
         assert a.read_bytes() == b.read_bytes()
 
     def test_csv_does_not_depend_on_block_size(self, tmp_path, monkeypatch):
-        # 50 Hessians of side 18 a block: 120 samples take three blocks
-        assert list(linalg._sample_blocks(120, 64 * 18**2)) == [50, 50, 20]
-        argv = ["hessian", "--d", "3", "--samples", "120", "--seed", "78", "--out"]
+        # 202 Hessians of side 18 a block: 450 samples take three blocks
+        assert list(linalg._sample_blocks(450, 16 * 18**2)) == [202, 202, 46]
+        argv = ["hessian", "--d", "3", "--samples", "450", "--seed", "78", "--out"]
         run(argv + [str(tmp_path / "default.csv")])
         monkeypatch.setattr(linalg, "LIFT_BLOCK_BYTES", 1)
         run(argv + [str(tmp_path / "single.csv")])

@@ -8,6 +8,7 @@ from distill_lab.bundles import read_bundle
 from distill_lab.distill import (
     RankTwoFactors,
     _discriminant_slack,
+    _rank_two_draw,
     assemble_stack,
     check_rank2_inequality,
     f_bilinear,
@@ -21,7 +22,7 @@ from distill_lab.distill import (
     sandwich_evaluator,
 )
 from distill_lab.errors import DimensionLimitError, ShapeError
-from distill_lab.linalg import ComplexMatrix, MultipartiteState, _child_seed, partial_trace
+from distill_lab.linalg import ComplexMatrix, MultipartiteState, _child_seed, _qf, partial_trace
 from distill_lab.states import WernerParams, max_entangled_state
 from distill_lab.verify import rank2_slack_sampling
 
@@ -194,6 +195,38 @@ class TestRandomRankTwoStack:
         for name in ("u1", "v1"):
             lead = np.array([getattr(rt, name)[0].real for rt in draws])
             assert np.any(lead > 0) and np.any(lead < 0)
+
+
+class TestRankTwoDraw:
+    @staticmethod
+    def _per_call_draw(rngs, side):
+        """The draw made call by call: an angle, then U.re, U.im, V.re, V.im
+        as four ``(side, 2)`` Gaussian calls, then one stacked ``_qf``."""
+        theta = np.empty(len(rngs))
+        raw = np.empty((len(rngs), 2, side, 2), dtype=np.complex128)
+        for r, rng in enumerate(rngs):
+            theta[r] = rng.uniform(0.0, math.pi / 2.0)
+            for frame in (0, 1):
+                re = rng.standard_normal((side, 2))
+                raw[r, frame] = re + 1j * rng.standard_normal((side, 2))
+        return theta, _qf(raw)
+
+    @pytest.mark.parametrize("side", [4, 27, 64])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    def test_equals_the_per_call_draw_bitwise(self, side, shared):
+        def generators():
+            if shared:
+                return [np.random.default_rng(31)] * 5
+            return [np.random.default_rng(_child_seed(31, r)) for r in range(5)]
+
+        drawn, expect = generators(), generators()
+        theta, frames = _rank_two_draw(drawn, side)
+        theta_ref, frames_ref = self._per_call_draw(expect, side)
+        assert theta.tobytes() == theta_ref.tobytes()
+        assert frames.shape == (5, 2, side, 2)
+        assert frames.tobytes() == frames_ref.tobytes()
+        # each generator is left where the per-call draw leaves it
+        assert [g.random() for g in drawn] == [g.random() for g in expect]
 
 
 class TestPqrStack:

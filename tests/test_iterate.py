@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from distill_lab import iterate
 from distill_lab.bundles import read_bundle
 from distill_lab.distill import merge_operator
 from distill_lab.errors import DimensionLimitError, ShapeError, SymmetryError
 from distill_lab.iterate import (
     IterateState,
+    _hermitian_deviation,
     certify_config,
     certify_iterate,
     e_step,
@@ -126,6 +128,76 @@ class TestIterateState:
         # NaN fails every check: none of these is a density matrix
         with pytest.raises((ShapeError, SymmetryError)):
             IterateState(0, self._with_entries(entries), 2)
+
+
+class TestTiledHermiticity:
+    """The check reads tiles of ``HERMITICITY_TILE``; a tile of 5 on side 16
+    gives tiles of 5, 5, 5 and 1 rows, so a side that is not a multiple."""
+
+    @staticmethod
+    def _mixed(side=16):
+        return np.eye(side) / side
+
+    @staticmethod
+    def _state(m):
+        local = int(round(np.sqrt(m.shape[0])))
+        return IterateState(0, ComplexMatrix(m, (local, local), (local, local)), local)
+
+    @pytest.mark.parametrize("tile", [5, 16, 128])
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_equals_the_full_deviation(self, tile, cplx, monkeypatch):
+        monkeypatch.setattr(iterate, "HERMITICITY_TILE", tile)
+        rng = np.random.default_rng(tile)
+        for side in (1, 4, 16, 17):
+            a = rng.standard_normal((side, side))
+            if cplx:
+                a = a + 1j * rng.standard_normal((side, side))
+            a = a + a.conj().T
+            a[rng.integers(side), rng.integers(side)] += 1e-3
+            assert _hermitian_deviation(a) == float(np.max(np.abs(a - a.conj().T)))
+
+    def test_rejects_an_entry_past_the_first_off_diagonal_tile(self, monkeypatch):
+        monkeypatch.setattr(iterate, "HERMITICITY_TILE", 5)
+        m = self._mixed()
+        m[12, 3] = 1e-3  # tile (2, 0); its mirror (3, 12) is in tile (0, 2)
+        with pytest.raises(SymmetryError, match=r"deviation 1\.000e-03"):
+            self._state(m)
+        m[15, 11] = 2e-3  # the last tile row, one row high
+        with pytest.raises(SymmetryError, match=r"deviation 2\.000e-03"):
+            self._state(m)
+        m = self._mixed()
+        m[12, 3] = m[3, 12] = 1e-3
+        self._state(m)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{(12, 3): np.nan}, {(3, 12): np.inf, (12, 3): np.inf}],
+        ids=["nan-off-diagonal", "inf-pair"],
+    )
+    def test_rejects_non_finite_entries_in_later_tiles(self, entries, monkeypatch):
+        monkeypatch.setattr(iterate, "HERMITICITY_TILE", 5)
+        m = self._mixed()
+        for idx, value in entries.items():
+            m[idx] = value
+        assert np.isnan(_hermitian_deviation(m))
+        with pytest.raises(SymmetryError, match="deviation nan"):
+            self._state(m)
+
+    def test_complex_route(self, monkeypatch):
+        monkeypatch.setattr(iterate, "HERMITICITY_TILE", 5)
+        m = self._mixed().astype(np.complex128)
+        m[12, 3], m[3, 12] = 0.01j, -0.01j
+        self._state(m)
+        m[3, 12] = 0.01j  # a symmetric, not Hermitian, pair: deviation 0.02
+        with pytest.raises(SymmetryError, match=r"deviation 2\.000e-02"):
+            self._state(m)
+
+    def test_default_tile_on_a_side_that_is_not_a_multiple(self):
+        # side 144 = 128 + 16 at the default tile
+        m = self._mixed(144)
+        m[140, 7] = 1e-3
+        with pytest.raises(SymmetryError, match=r"deviation 1\.000e-03"):
+            self._state(m)
 
 
 class TestEStep:

@@ -8,6 +8,7 @@ from distill_lab.linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
+    _complex_normal,
     kron,
     partial_trace,
     partial_transpose,
@@ -292,3 +293,14 @@ def test_random_permutations_preserve_frobenius_norm(case, perm_seed):
     # entries are relabeled, never recomputed: the multiset is preserved exactly
     assert np.array_equal(np.sort(out.data.reshape(-1)), np.sort(m.data.reshape(-1)))
     assert np.linalg.norm(out.data) == pytest.approx(np.linalg.norm(m.data), rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 2), (4, 3, 2)])
+def test_complex_normal_equals_two_successive_calls(shape):
+    drawn, expect = np.random.default_rng(41), np.random.default_rng(41)
+    values = _complex_normal(drawn, shape)
+    re = expect.standard_normal(shape)
+    ref = re + 1j * expect.standard_normal(shape)
+    assert values.shape == shape
+    assert values.tobytes() == ref.tobytes()
+    assert drawn.random() == expect.random()

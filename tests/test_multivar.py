@@ -325,11 +325,11 @@ class TestHessianSpectrumSweep:
             hessian_spectrum_sweep(5, 1, seed=0)
 
     def test_rows_do_not_depend_on_block_size(self, monkeypatch):
-        # Hessians of side 32 at d = 4: 40 samples fill three default blocks
-        assert list(linalg._sample_blocks(40, 64 * 32**2)) == [16, 16, 8]
-        default = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 40, seed=9)]
+        # Hessians of side 32 at d = 4: 150 samples fill three default blocks
+        assert list(linalg._sample_blocks(150, 16 * 32**2)) == [64, 64, 22]
+        default = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 150, seed=9)]
         monkeypatch.setattr(linalg, "LIFT_BLOCK_BYTES", 1)
-        single = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 40, seed=9)]
+        single = [(r.point_id, r.seed, r.min_eigenvalue) for r in hessian_spectrum_sweep(4, 150, seed=9)]
         assert single == default
 
     @pytest.mark.parametrize("d", [2, 3, 4])
