@@ -3,8 +3,9 @@
 All file outputs start with a header carrying the version, subcommand, flags,
 and seed, so an artifact is self-describing.  Every subcommand is
 deterministic given its flags and seed (the single exception is the recorded
-wall time inside minimize reports).  Exit codes: 0 success, 2 usage or
-configuration error, 3 an inequality-violation witness was found.
+wall time inside minimize reports).  Exit codes: 0 success, 1 a verify
+check failed, 2 usage or configuration error, 3 an inequality-violation
+witness was found.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import numpy as np
 from . import __version__
 from .bundles import write_bundle
 from .errors import DistillLabError
-from .iterate import certify_config, certify_iterate, e_step, initial_iterate, witness_bundle_path
+from .iterate import (
+    CERTIFY_TOL, certify_config, certify_iterate, e_step, initial_iterate, witness_bundle_path,
+)
 from .multivar import hessian_spectrum_sweep, nonconvexity_demo
 from .optimize import (
     DEFAULT_SEED,
@@ -33,7 +36,7 @@ from .optimize import (
 )
 from .distill import q_functional
 from .states import WernerParams, beta_bound
-from .verify import SUITES, run_suite
+from .verify import SUITES, CheckResult, run_suite
 
 VIOLATION_TOL = 1e-8
 
@@ -149,8 +152,7 @@ def _seed(text: str) -> int:
 
 def _cmd_bound(args) -> int:
     if not 1 <= args.n <= 64:
-        print(f"error: --n must lie in 1..64, got {args.n}", file=sys.stderr)
-        return 2
+        raise DistillLabError(f"--n must lie in 1..64, got {args.n}")
     rows = []
     for n in range(1, args.n + 1):
         root = beta_bound(n, args.tol)
@@ -206,14 +208,11 @@ def _cmd_sweep(args) -> int:
     try:
         grid = [float(tok) for tok in args.beta_grid.split(",") if tok.strip()]
     except ValueError:
-        print(f"error: cannot parse --beta-grid {args.beta_grid!r}", file=sys.stderr)
-        return 2
+        raise DistillLabError(f"cannot parse --beta-grid {args.beta_grid!r}") from None
     if not grid:
-        print("error: --beta-grid is empty", file=sys.stderr)
-        return 2
+        raise DistillLabError("--beta-grid is empty")
     if any(not -1.0 <= b <= 0.0 for b in grid):
-        print("error: every grid value must lie in [-1, 0]", file=sys.stderr)
-        return 2
+        raise DistillLabError("every grid value must lie in [-1, 0]")
     rows = []
     for beta in sorted(grid):
         cfg = SearchConfig(d=args.d, n=args.n, beta=beta, restarts=args.restarts, seed=args.seed)
@@ -233,10 +232,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.suite == "report":
         if args.infile is None:
-            print("error: --suite report requires --in <file>", file=sys.stderr)
-            return 2
-        return _verify_report(args.infile)
-    results = run_suite(args.suite, seed=args.seed, bundle_dir=args.bundle_dir)
+            raise DistillLabError("--suite report requires --in <file>")
+        results = _verify_report(args.infile)
+    else:
+        results = run_suite(args.suite, seed=args.seed, bundle_dir=args.bundle_dir)
     failed = 0
     for r in results:
         mark = "ok" if r.ok else "FAIL"
@@ -246,34 +245,28 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _verify_report(path: Path) -> int:
+def _verify_report(path: Path) -> list[CheckResult]:
     try:
         data = json.loads(path.read_text())
         report = report_from_json(data.get("report", data))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"error: cannot load report {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        raise DistillLabError(f"cannot load report {path}: {type(exc).__name__}: {exc}") from exc
     cfg = report.config
     point = report.best_point
     recomputed = q_functional(point.to_matrix(cfg.dims), cfg.beta)
-    checks = [
-        ("factors-valid", True, "rank-two factor invariants hold (validated on load)"),
-        (
+    return [
+        CheckResult("factors-valid", True, "rank-two factor invariants hold (validated on load)"),
+        CheckResult(
             "value-reproduces",
             abs(recomputed - report.best_value) < 1e-9,
             f"recomputed {_fmt(recomputed)} vs stored {_fmt(report.best_value)}",
         ),
-        (
+        CheckResult(
             "best-matches-restarts",
             abs(min(r.final_value for r in report.per_restart) - report.best_value) < 1e-12,
             "best_value equals the minimum over per-restart values",
         ),
     ]
-    failed = 0
-    for name, ok, detail in checks:
-        print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
-        failed += 0 if ok else 1
-    return 0 if failed == 0 else 1
 
 
 def _cmd_hessian(args) -> int:
@@ -309,7 +302,7 @@ def _cmd_iterate(args) -> int:
         params, args.k, restarts=args.restarts, seed=args.seed, bundle_dir=args.bundle_dir
     )
     print(f"k={args.k} ({cfg.n} copies): min quadratic form = {_fmt(min_value)}")
-    if min_value < -1e-9:
+    if min_value < -CERTIFY_TOL:
         path = witness_bundle_path(args.bundle_dir, args.k, args.seed)
         print(
             "distillation witness found (state not undistillable at this copy count);"

@@ -23,6 +23,7 @@ from .linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
+    _adjoint,
     _qf,
     _trace_slot,
     kron,
@@ -240,9 +241,6 @@ def pqr_stack(frames: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.nd
         # contiguous, so every product below runs through BLAS as for one matrix
         return np.ascontiguousarray(frame[:, :, col]).reshape(len(frame), d, d)
 
-    def h(m):
-        return np.swapaxes(m.conj(), -1, -2)
-
     def trace(m):
         return np.trace(m, axis1=-2, axis2=-1)
 
@@ -253,37 +251,39 @@ def pqr_stack(frames: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
     u, v = frames[:, 0], frames[:, 1]
     u1, v1, u2, v2 = coeffs(u, 0), coeffs(v, 0), coeffs(u, 1), coeffs(v, 1)
-    t1 = trace(u1 @ h(v1))
-    t2 = trace(u2 @ h(v2))
+    t1 = trace(u1 @ _adjoint(v1))
+    t2 = trace(u2 @ _adjoint(v2))
 
     def diag_part(u, v, t):
-        a = trace(h(u) @ v @ h(v) @ u).real
-        b = trace(v @ h(u) @ u @ h(v)).real
+        a = trace(_adjoint(u) @ v @ _adjoint(v) @ u).real
+        b = trace(v @ _adjoint(u) @ u @ _adjoint(v)).real
         return a + b - re_dot(t, t) / 2.0
 
     p = diag_part(u1, v1, t1)
     q = diag_part(u2, v2, t2)
-    cross = trace(v1 @ h(u1) @ u2 @ h(v2)).real + trace(h(u1) @ v1 @ h(v2) @ u2).real
+    cross = (
+        trace(v1 @ _adjoint(u1) @ u2 @ _adjoint(v2)).real
+        + trace(_adjoint(u1) @ v1 @ _adjoint(v2) @ u2).real
+    )
     r = 2.0 * (cross - re_dot(t1, t2) / 2.0)
     return p, q, r
 
 
-def check_rank2_inequality(
-    rt: RankTwoFactors, d: int, beta: float = -0.5
-) -> tuple[bool, float]:
+def check_rank2_inequality(rt: RankTwoFactors, d: int) -> tuple[bool, float]:
     """Evaluate the discriminant condition R^2 <= 4(2-P)(2-Q) at one point.
 
     Returns ``(holds, slack)`` with ``slack = R^2 - 4(2-P)(2-Q)``; negative
     slack means the quadratic form stays below its ceiling for every singular
     angle, equivalently the functional is nonnegative on the whole rank-two
-    circle through the factors.  The scalars come from the polarized
-    functional, so at -1/2 this is a second route to the explicit trace
+    circle through the factors.  The condition belongs to beta = -1/2, the
+    only beta at which the triple means (P, Q, R).  The scalars come from
+    the polarized functional there, a second route to the explicit trace
     formulas of ``pqr``.
     """
     d = int(d)
     if rt.dim != d * d:
         raise ShapeError(f"factor vectors of length {rt.dim} do not reshape to {d}x{d}")
-    f11, f22, f12 = _pair_forms(rt, d, float(beta))
+    f11, f22, f12 = _pair_forms(rt, d)
     p = 2.0 * (1.0 - f11)
     q = 2.0 * (1.0 - f22)
     r = -4.0 * f12
@@ -291,13 +291,15 @@ def check_rank2_inequality(
     return slack <= 0.0, float(slack)
 
 
-def _pair_forms(rt: RankTwoFactors, d: int, beta: float):
-    """Real polarized functional ``(f11, f22, f12)`` of the rank-one terms
-    ``x_k = u_k v_k^H`` of a factored point on ``(d, d)``."""
-    dims = (d, d)
-    x1 = ComplexMatrix(np.outer(rt.u1, rt.v1.conj()), dims, dims)
-    x2 = ComplexMatrix(np.outer(rt.u2, rt.v2.conj()), dims, dims)
-    return f_bilinear(x1, x1, beta).real, f_bilinear(x2, x2, beta).real, f_bilinear(x1, x2, beta).real
+def _pair_forms(rt: RankTwoFactors, d: int):
+    """Real polarized functional ``(f11, f22, f12)`` at beta = -1/2 of the
+    rank-one terms ``x_k = u_k v_k^H`` of a factored point on ``(d, d)``:
+    the real parts of ``f_bilinear`` from one subset pass over (x1, x2)."""
+    pair = np.stack([np.outer(rt.u1, rt.v1.conj()), np.outer(rt.u2, rt.v2.conj())])
+    forms = np.zeros(3)
+    for size, traced in _subset_traces(pair, (d, d)):
+        forms += (-0.5) ** size * _real_inner(traced[[0, 1, 0]], traced[[0, 1, 1]])
+    return tuple(forms.tolist())
 
 
 def _discriminant_slack(p, q, r):

@@ -269,6 +269,11 @@ def permutation_matrix(p: SubsystemPermutation) -> ComplexMatrix:
     return ComplexMatrix(mat, new_dims, p.dims)
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (..., m, k), as a view."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex Gaussian array of ``shape`` from one ``standard_normal`` call:
     the real parts, then the imaginary parts, as two successive calls of
@@ -314,7 +319,8 @@ def _seed_blocks(seed: int, count: int, item_bytes: int):
     """The child seeds ``_child_seed(seed, i)`` of items ``0..count-1``, as
     one list per block of ``_sample_blocks(count, item_bytes)``.
 
-    This is where every restart and sample of the lab gets its seed: item i
+    Every blocked restart and sample of the lab gets its seed here (the
+    ascent oracle, not blocked, takes ``_child_seed`` directly): item i
     draws from ``default_rng`` of its own child seed, so its draw does not
     depend on the block it runs in or on how many items run.
     """

@@ -22,7 +22,7 @@ import numpy as np
 
 from .distill import RankTwoFactors, _rank_two_draw, _real_inner
 from .errors import DimensionLimitError, ShapeError
-from .linalg import ComplexMatrix, _qf, _seed_blocks, _trace_slot
+from .linalg import ComplexMatrix, _adjoint, _qf, _seed_blocks, _trace_slot
 
 # Largest composite side d^n the factored search will handle.
 MINIMIZE_SIDE_CAP = 256
@@ -375,10 +375,6 @@ def _lift(x: np.ndarray, dims: tuple[int, ...], beta: float) -> np.ndarray:
         for c in range(d):
             blocks[..., c, :, :, c, :] += tr
     return t
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
 
 
 def _project_stiefel(frame: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import ComplexMatrix, MultipartiteState, _child_seed, _complex_normal, _qf
+from .linalg import ComplexMatrix, MultipartiteState, _adjoint, _child_seed, _complex_normal, _qf
 
 # Relative cutoff separating genuine rank from double-precision noise.
 RANK_TOL = 1e-9
@@ -93,7 +93,7 @@ def max_overlap_oracle(
     restarts = int(restarts)
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    a_h = a.conj().T
+    a_h = _adjoint(a)
     starts = [_complex_normal(np.random.default_rng(_child_seed(seed, r)), (d, k)) for r in range(restarts)]
     q = _qf(np.stack(starts))
     value = np.full(restarts, -np.inf)
@@ -102,7 +102,7 @@ def max_overlap_oracle(
         p = _qf(a @ q[live])
         q_live = _qf(a_h @ p)
         q[live] = q_live
-        attained = _frobenius_sq(np.swapaxes(p.conj(), -1, -2) @ a @ q_live)
+        attained = _frobenius_sq(_adjoint(p) @ a @ q_live)
         stalled = attained - value[live] < OVERLAP_TOL
         value[live] = attained
         live = live[~stalled]

@@ -37,6 +37,7 @@ from .linalg import (
     ComplexMatrix,
     MultipartiteState,
     SubsystemPermutation,
+    _adjoint,
     _sample_blocks,
     _seed_blocks,
     partial_trace,
@@ -167,7 +168,7 @@ def _check_rank_one_pair_scan(seed, bundle_dir):
     agree = True
     for d in (2, 3):
         for _ in range(40):
-            f11, f22, f12 = _pair_forms(random_rank_two(rng, d * d), d, -0.5)
+            f11, f22, f12 = _pair_forms(random_rank_two(rng, d * d), d)
             scan_min = float(np.min(cos**2 * f11 + sin**2 * f22 + 2 * cos * sin * f12))
             cs = f12**2 <= f11 * f22 + 1e-12
             if (scan_min >= -1e-9) != cs:
@@ -410,7 +411,7 @@ def _check_lemma_trace_contraction(seed, bundle_dir):
             wm = w.reshape(count, d, d)
             xm = x.reshape(count, d, d)
             full = _norms(w) * _norms(x)
-            t2 = _norms(wm @ np.swapaxes(xm.conj(), -1, -2))
+            t2 = _norms(wm @ _adjoint(xm))
             t1 = _norms(np.swapaxes(wm, -1, -2) @ xm.conj())
             worst = max(worst, float(np.max(t1 - full)), float(np.max(t2 - full)))
     return worst <= 1e-12, f"max partial-trace norm excess over the full norm = {worst:.3e}"
@@ -423,8 +424,6 @@ def _check_copy_floor(seed, bundle_dir):
     for n in (2, 3):
         floor_beta = beta_bound(n)
         for d in (2, 3):
-            if d**n > 27:
-                continue
             dims = (d,) * n
             for beta in (floor_beta, floor_beta + 0.1, 0.0):
                 for count in _sample_blocks(1500, 64 * (d**n) ** 2):
@@ -450,8 +449,6 @@ def _check_rank_one_positivity(seed, bundle_dir):
     detail = "polarized form nonnegative on random rank-one points at the -1/2 guess"
     for n in (1, 2, 3):
         for d in (2, 3):
-            if d**n > 27:
-                continue
             dims = (d,) * n
             size = d**n
             for count in _sample_blocks(3400, 64 * size**2):

@@ -65,6 +65,26 @@ def test_rejects_garbage_line(tmp_path):
         read_bundle(path)
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("distill-lab bundle v1\n", "missing the kind line"),
+        ("distill-lab bundle v1\nd=2\n", "missing the kind line"),
+        ("distill-lab bundle v1\nkind=x\nvector y quaternion 1\n0x1.0p+0\n", "unknown vector dtype"),
+    ],
+)
+def test_rejects_malformed_layout(tmp_path, text, match):
+    path = tmp_path / "bad.bundle"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        read_bundle(path)
+
+
+def test_rejects_bool_param(tmp_path):
+    with pytest.raises(ValueError, match="must be int or float"):
+        write_bundle(Bundle(kind="x", params={"flag": True}), tmp_path / "b.bundle")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(allow_nan=True, allow_infinity=True), st.integers(-(2**70), 2**70))
 def test_params_round_trip_over_all_doubles(tmp_path_factory, value, count):

@@ -59,6 +59,27 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "usage: distill-lab"),
+            (SEEDED["minimize"] + ["--seed", "abc"], "argument --seed: not an integer: 'abc'"),
+            (["bound", "--n", "0"], "error: --n must lie in 1..64, got 0\n"),
+            (["sweep", "--d", "2", "--n", "1", "--beta-grid=abc"], "error: cannot parse --beta-grid 'abc'\n"),
+            (["sweep", "--d", "2", "--n", "1", "--beta-grid=,"], "error: --beta-grid is empty\n"),
+            (["sweep", "--d", "2", "--n", "1", "--beta-grid=0.5"], "error: every grid value must lie in [-1, 0]\n"),
+            (["verify", "--suite", "report"], "error: --suite report requires --in <file>\n"),
+        ],
+    )
+    def test_usage_errors_exit_two(self, argv, message, capsys):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
         def broken(cfg):
             raise ValueError("internal fault")
@@ -210,7 +231,28 @@ class TestVerify:
         run(["minimize", "--d", "3", "--n", "1", "--beta", "-0.5", "--restarts", "6", "--out", str(out)])
         capsys.readouterr()
         assert run(["verify", "--suite", "report", "--in", str(out)]) == 0
-        assert "[ok] value-reproduces" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "[ok] value-reproduces" in printed
+        assert printed.splitlines()[-1] == "3/3 checks passed"
+
+    def test_edited_report_fails_value_check(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        run(["minimize", "--d", "2", "--n", "1", "--beta", "-0.3", "--restarts", "2", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        report = payload["report"]
+        # shift the best value and its restart's record together, so only
+        # the recomputation from the stored point can tell
+        best = min(report["per_restart"], key=lambda r: r["final_value"])
+        report["best_value"] -= 0.01
+        best["final_value"] = report["best_value"]
+        out.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["verify", "--suite", "report", "--in", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[ok] factors-valid")
+        assert lines[1].startswith("[FAIL] value-reproduces")
+        assert lines[2].startswith("[ok] best-matches-restarts")
+        assert lines[3] == "2/3 checks passed"
 
     def test_report_suite_requires_input(self):
         assert run(["verify", "--suite", "report"]) == 2

@@ -8,6 +8,7 @@ from distill_lab.bundles import read_bundle
 from distill_lab.distill import (
     RankTwoFactors,
     _discriminant_slack,
+    _pair_forms,
     _rank_two_draw,
     assemble_stack,
     check_rank2_inequality,
@@ -68,6 +69,20 @@ class TestRankTwoFactors:
             RankTwoFactors(1 / math.sqrt(2), 1 / math.sqrt(2), 2 * e0, e0, e1, e1)  # unit norm
         with pytest.raises(ShapeError):
             RankTwoFactors(math.nan, 0.0, e0, e0, e1, e1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e0, e1: RankTwoFactors(1.0, 0.0, e0, e0, e1, e1[:3]),
+            lambda e0, e1: RankTwoFactors(1.0, 0.0, e0, e0, e1, e1).to_matrix((2, 3)),
+        ],
+        ids=["unequal-lengths", "to-matrix-dims"],
+    )
+    def test_rejects_bad_lengths(self, call):
+        e0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        e1 = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(ShapeError):
+            call(e0, e1)
 
     def test_invariants_enforced_on_the_v_frame(self):
         # one check covers both frames: break V alone, U stays valid
@@ -391,6 +406,22 @@ class TestCheckRankTwoInequality:
             assert row.slack == _discriminant_slack(*pqr(rt, d))
             assert row.slack == pytest.approx(check_rank2_inequality(rt, d)[1], rel=1e-12)
 
+    def test_vector_length_must_match(self):
+        rt = random_rank_two(np.random.default_rng(8), 9)
+        with pytest.raises(ShapeError):
+            check_rank2_inequality(rt, 2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pair_forms_are_the_real_polarized_forms_bitwise(self, d):
+        rng = np.random.default_rng(16)
+        dims = (d, d)
+        for _ in range(50):
+            rt = random_rank_two(rng, d * d)
+            x1 = ComplexMatrix(np.outer(rt.u1, rt.v1.conj()), dims, dims)
+            x2 = ComplexMatrix(np.outer(rt.u2, rt.v2.conj()), dims, dims)
+            expect = tuple(f_bilinear(a, b, -0.5).real for a, b in ((x1, x1), (x2, x2), (x1, x2)))
+            assert _pair_forms(rt, d) == expect
+
     def test_general_beta_agrees_with_default_at_half(self):
         # at -1/2 the polarized route and the explicit trace formulas meet
         rng = np.random.default_rng(13)
@@ -449,3 +480,7 @@ class TestMnPermutation:
 
     def test_three_copies(self):
         assert m_n_permutation(3) == (0, 3, 1, 4, 2, 5)
+
+    def test_rejects_zero_copies(self):
+        with pytest.raises(ShapeError):
+            m_n_permutation(0)

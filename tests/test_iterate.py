@@ -28,6 +28,10 @@ from distill_lab.states import WernerParams, werner_partial_transpose, werner_st
 
 
 class TestIterateState:
+    def test_rejects_negative_k(self):
+        with pytest.raises(ShapeError, match="iteration count"):
+            IterateState(-1, ComplexMatrix(np.eye(4) / 4, (2, 2), (2, 2)), 2)
+
     def test_rejects_unnormalized_trace(self):
         with pytest.raises(ShapeError):
             IterateState(0, ComplexMatrix(np.eye(4), (2, 2), (2, 2)), 2)

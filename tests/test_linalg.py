@@ -31,6 +31,10 @@ class TestComplexMatrix:
         with pytest.raises(ShapeError):
             ComplexMatrix(np.eye(4), (2, 2), (5,))
 
+    def test_rejects_non_matrix_array(self):
+        with pytest.raises(ShapeError, match="2-D"):
+            ComplexMatrix(np.ones(4), (2, 2), (1,))
+
     def test_nonpositive_dims_rejected(self):
         with pytest.raises(ShapeError):
             ComplexMatrix(np.eye(1), (0,), (1,))
@@ -201,6 +205,10 @@ class TestPartialTranspose:
         with pytest.raises(ShapeError):
             partial_transpose(ComplexMatrix.identity((2, 2)), 5)
 
+    def test_rejects_nonsquare_composite(self):
+        with pytest.raises(ShapeError):
+            partial_transpose(ComplexMatrix(np.ones((4, 4)), (2, 2), (4,)), 0)
+
 
 class TestPermuteSubsystems:
     def test_identity_permutation(self):
@@ -263,6 +271,10 @@ class TestPermuteSubsystems:
     def test_perm_must_be_bijection(self):
         with pytest.raises(ShapeError):
             SubsystemPermutation((0, 0), (2, 2))
+
+    def test_perm_and_dims_lengths_must_match(self):
+        with pytest.raises(ShapeError, match="equal length"):
+            SubsystemPermutation((1, 0), (2, 2, 2))
 
 
 @st.composite

@@ -48,6 +48,12 @@ class TestRankOnePoint:
 
 
 class TestFReal:
+    @pytest.mark.parametrize("y_len, match", [(9, "share one length"), (5, "not a perfect square")])
+    def test_rejects_bad_lengths(self, y_len, match):
+        e0 = unit(4, 0)
+        with pytest.raises(ShapeError, match=match):
+            f_real((e0, e0), (np.ones(y_len), np.ones(y_len)), -0.5)
+
     def test_hand_expanded_value_at_shared_unit(self):
         for d in (2, 3):
             e0 = unit(d * d, 0)
@@ -319,6 +325,10 @@ class TestHessianSpectrumSweep:
         assert bundle.kind == "hessian-counterexample"
         assert set(bundle.vectors) == {"y", "z"}
         assert len(rows) == 2
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ShapeError, match="at least one sample"):
+            hessian_spectrum_sweep(2, 0, seed=0)
 
     def test_dimension_cap(self):
         with pytest.raises(ShapeError):

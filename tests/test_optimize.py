@@ -502,6 +502,10 @@ class TestWitnessTensor:
         assert q_functional(witness_tensor(-0.5, 2), -0.5) == pytest.approx(0.0, abs=1e-12)
         assert q_functional(witness_tensor(-1.0, 2), -1.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_rejects_local_dimension_one(self):
+        with pytest.raises(ShapeError):
+            witness_tensor(-0.6, 1)
+
     def test_rejects_nonnegative_region(self):
         with pytest.raises(ValueError):
             witness_tensor(-0.4, 2)

@@ -166,6 +166,11 @@ class TestMaxOverlapOracle:
                     stacked = max_overlap_oracle(state, k, restarts=20, seed=seed)
                     assert abs(stacked - serial_overlap_oracle(state, k, 20, seed)) <= 1e-15
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(ValueError, match="k must lie in 1..2"):
+            max_overlap_oracle(bell_state(), k, restarts=2, seed=0)
+
     def test_restarts_must_be_positive(self):
         for restarts in (0, -3):
             with pytest.raises(ValueError):

@@ -42,6 +42,10 @@ class TestSwapOperator:
             assert np.array_equal(f @ f, np.eye(d * d))
             assert np.array_equal(f, f.conj().T)
 
+    def test_rejects_local_dimension_one(self):
+        with pytest.raises(ShapeError):
+            swap_operator(1)
+
     def test_trace_by_direct_summation(self):
         for d in (2, 3, 4):
             f = swap_operator(d).data
@@ -65,6 +69,10 @@ class TestGeOperator:
 
     def test_trace(self):
         assert np.trace(ge_operator(3).data) == pytest.approx(3.0)
+
+    def test_rejects_local_dimension_one(self):
+        with pytest.raises(ShapeError):
+            ge_operator(1)
 
     def test_partial_transpose_gives_swap(self):
         out = partial_transpose(ge_operator(3), 0)
