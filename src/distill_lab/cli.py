@@ -23,9 +23,7 @@ import numpy as np
 from . import __version__
 from .bundles import write_bundle
 from .errors import DistillLabError
-from .iterate import (
-    CERTIFY_TOL, certify_config, certify_iterate, e_step, initial_iterate, witness_bundle_path,
-)
+from .iterate import certify_config, certify_iterate, e_step, initial_iterate, witness_bundle_path
 from .multivar import hessian_spectrum_sweep, nonconvexity_demo
 from .optimize import (
     DEFAULT_SEED,
@@ -34,11 +32,9 @@ from .optimize import (
     report_from_json,
     report_to_json,
 )
-from .distill import q_functional
+from .distill import CERTIFY_TOL, q_functional
 from .states import WernerParams, beta_bound
 from .verify import SUITES, CheckResult, run_suite
-
-VIOLATION_TOL = 1e-8
 
 # Materialize iterate density matrices only up to this per-side size; beyond
 # it certification still runs through the factored search.
@@ -193,7 +189,7 @@ def _cmd_minimize(args) -> int:
         args.out.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"report written to {args.out}")
     print(f"best_value = {_fmt(report.best_value)}")
-    if report.best_value < -VIOLATION_TOL:
+    if report.best_value < -CERTIFY_TOL:
         bundle = report.best_point.to_bundle(
             "minimize-violation", d=cfg.d, n=cfg.n, beta=cfg.beta, seed=cfg.seed, best_value=report.best_value
         )
@@ -255,7 +251,6 @@ def _verify_report(path: Path) -> list[CheckResult]:
     point = report.best_point
     recomputed = q_functional(point.to_matrix(cfg.dims), cfg.beta)
     return [
-        CheckResult("factors-valid", True, "rank-two factor invariants hold (validated on load)"),
         CheckResult(
             "value-reproduces",
             abs(recomputed - report.best_value) < 1e-9,
@@ -298,11 +293,11 @@ def _cmd_iterate(args) -> int:
             print(f"step {j + 1}: side {state.matrix.rows}, trace {_fmt(float(np.trace(state.matrix.data).real))}")
     else:
         print(f"side {side} too large to materialize; certifying through the factored search")
-    min_value, _point = certify_iterate(
+    min_value, _point, witness = certify_iterate(
         params, args.k, restarts=args.restarts, seed=args.seed, bundle_dir=args.bundle_dir
     )
     print(f"k={args.k} ({cfg.n} copies): min quadratic form = {_fmt(min_value)}")
-    if min_value < -CERTIFY_TOL:
+    if witness:
         path = witness_bundle_path(args.bundle_dir, args.k, args.seed)
         print(
             "distillation witness found (state not undistillable at this copy count);"

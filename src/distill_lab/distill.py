@@ -34,6 +34,10 @@ from .states import WernerParams, werner_partial_transpose
 # Subset enumeration is exponential in the number of copy slots.
 MAX_SUBSET_SLOTS = 12
 
+# A functional value of a unit-norm matrix below -CERTIFY_TOL counts as
+# negative: a witness for a search, a violation for a sampled floor check.
+CERTIFY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RankTwoFactors:
@@ -103,19 +107,17 @@ class RankTwoFactors:
 
 def random_rank_two(rng: np.random.Generator, dim: int) -> RankTwoFactors:
     """Sample unit-norm rank-<=2 factors as the search draws a restart's
-    start: a uniform singular angle, then Haar frames (the sample
-    ``random_rank_two_stack([rng], dim)`` holds; ``RankTwoFactors`` runs
-    the checks)."""
-    theta, frames = _rank_two_draw([rng], int(dim))
-    return RankTwoFactors.from_stack(np.stack([np.cos(theta), np.sin(theta)], axis=-1), frames)
+    start (the sample ``random_rank_two_stack([rng], dim)`` holds;
+    ``RankTwoFactors`` runs the checks)."""
+    return RankTwoFactors.from_stack(*_rank_two_draw([rng], int(dim)))
 
 
 def random_rank_two_stack(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """One ``random_rank_two`` sample per generator of ``rngs``, as a stack
     ``(sigma, frames)``.
 
-    ``sigma`` is (R, 2) holding (sigma1, sigma2) = (cos, sin) of the drawn
-    angle; ``frames`` is (R, 2, dim, 2), the search's layout, with
+    ``sigma`` is (R, 2) holding (sigma1, sigma2) on the unit circle;
+    ``frames`` is (R, 2, dim, 2), the search's layout, with
     U = frames[:, 0] holding (u1, u2) and V = frames[:, 1] holding (v1, v2)
     as columns.  Generators draw in turn (``_rank_two_draw``), so
     ``[rng] * count`` consumes one generator exactly as ``count`` successive
@@ -123,8 +125,7 @@ def random_rank_two_stack(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
     runs once over the stack, and every sample passes the
     ``RankTwoFactors`` checks.
     """
-    theta, frames = _rank_two_draw(rngs, int(dim))
-    sigma = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    sigma, frames = _rank_two_draw(rngs, int(dim))
     _check_rank_two(sigma, frames)
     return sigma, frames
 
@@ -132,14 +133,13 @@ def random_rank_two_stack(rngs, dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _rank_two_draw(rngs, side: int):
     """One random unit-norm rank-<=2 point per generator of ``rngs``.
 
-    Returns ``(theta, frames)``: ``theta`` (R,) holds singular angles with
-    sigma = (cos, sin), and ``frames`` is laid out as in
-    ``random_rank_two_stack``.  Each generator draws in turn a uniform angle
-    in [0, pi/2), then the complex Gaussian U and V with one
-    ``standard_normal`` call (U.re, U.im, V.re, V.im, the values of four
-    ``(side, 2)`` calls); ``linalg._qf`` orthonormalizes the stack, which
-    makes the frames Haar distributed.  A row depends only on its generator.
-    The search starts its restarts here.
+    Returns ``(sigma, frames)`` laid out as ``random_rank_two_stack``
+    returns them.  Each generator draws in turn a uniform angle in
+    [0, pi/2), whose cosine and sine are the row's sigma, then the complex
+    Gaussian U and V with one ``standard_normal`` call (U.re, U.im, V.re,
+    V.im, the values of four ``(side, 2)`` calls); ``linalg._qf``
+    orthonormalizes the stack, which makes the frames Haar distributed.  A
+    row depends only on its generator.  The search starts its restarts here.
     """
     theta = np.empty(len(rngs))
     # (R, U/V, re/im, side, 2)
@@ -147,7 +147,7 @@ def _rank_two_draw(rngs, side: int):
     for r, rng in enumerate(rngs):
         theta[r] = rng.uniform(0.0, math.pi / 2.0)
         rng.standard_normal(out=raw[r])
-    return theta, _qf(raw[:, :, 0] + 1j * raw[:, :, 1])
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1), _qf(raw[:, :, 0] + 1j * raw[:, :, 1])
 
 
 def assemble_stack(sigma: np.ndarray, frames: np.ndarray) -> np.ndarray:

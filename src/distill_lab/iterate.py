@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bundles import write_bundle
-from .distill import RankTwoFactors
+from .distill import CERTIFY_TOL, RankTwoFactors
 from .errors import DimensionLimitError, ShapeError, SymmetryError
 from .linalg import (
     HERMITICITY_TOL,
@@ -31,7 +31,6 @@ from .states import WernerParams, werner_state
 
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = -1e-10
-CERTIFY_TOL = 1e-9
 
 # Side of the square tiles in which the Hermiticity check reads a matrix: a
 # complex tile and its mirror take 512 KiB.
@@ -144,25 +143,28 @@ def certify_iterate(
     restarts: int = 20,
     seed: int = DEFAULT_SEED,
     bundle_dir: "Path | str | None" = None,
-) -> tuple[float, RankTwoFactors]:
+) -> tuple[float, RankTwoFactors, bool]:
     """Minimize the partial-transpose quadratic form of the k-step iterate
     of the Werner state with ``params`` over rank-<=2 states.
 
     The minimization runs over coefficient matrices with 2^k copy slots
-    (never materializing the large operator) and the result is rescaled by
-    the Werner normalization to the raw quadratic-form value.  A minimum
-    below -1e-9 is a distillation witness; when ``bundle_dir`` is set, the
+    (never materializing the large operator).  Returns
+    ``(min_value, point, witness)``: the minimum rescaled by the Werner
+    normalization to the raw quadratic-form value, the point, and whether
+    it is a distillation witness, which the search's unit-norm value
+    decides by ``distill.CERTIFY_TOL``.  When ``bundle_dir`` is set, a
     witness point is serialized there.
     """
     cfg = certify_config(params, k, restarts, seed)
     report = minimize_q(cfg)
     min_value = report.best_value / params.normalization**cfg.n
-    if min_value < -CERTIFY_TOL and bundle_dir is not None:
+    witness = report.best_value < -CERTIFY_TOL
+    if witness and bundle_dir is not None:
         bundle = report.best_point.to_bundle(
             "distillation-witness", d=params.d, n=cfg.n, beta=params.beta, seed=cfg.seed, min_value=min_value
         )
         write_bundle(bundle, witness_bundle_path(bundle_dir, k, cfg.seed))
-    return min_value, report.best_point
+    return min_value, report.best_point, witness
 
 
 def certify_config(params: WernerParams, k: int, restarts: int, seed: int) -> SearchConfig:

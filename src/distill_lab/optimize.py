@@ -1,15 +1,17 @@
 """Random-restart minimization of the subset-sum functional over unit-norm
 rank-<=2 matrices in factored coordinates.
 
-A point is (theta, U, V): a singular angle with sigma = (cos, sin), plus two
+A point is (sigma, U, V): singular values on the unit circle, plus two
 orthonormal frames holding the left/right factor pairs as columns.  This
 parameterization stays exactly on the rank-<=2 manifold the functional is
-quantified over; descent steps are retracted back onto it by QR.
+quantified over; descent steps are retracted back onto it, sigma by
+normalization and the frames by QR.
 
-The search holds its restarts on a leading stack axis: thetas of shape
-(R,) and frames of shape (R, 2, N, 2), with U = frames[:, 0] and
-V = frames[:, 1].  Rows share no arithmetic, so a restart's trajectory does
-not depend on which other restarts run beside it.
+The search holds its restarts on a leading stack axis in the layout of
+``distill.random_rank_two_stack``: sigma of shape (R, 2) and frames of shape
+(R, 2, N, 2), with U = frames[:, 0] and V = frames[:, 1].  Rows share no
+arithmetic, so a restart's trajectory does not depend on which other
+restarts run beside it.
 """
 
 from __future__ import annotations
@@ -112,15 +114,15 @@ class SearchReport:
 
 @dataclass(frozen=True)
 class TangentGradient:
-    """Projected gradient at a factored point: angle and frame components."""
+    """Projected gradient at a factored point: sigma and frame components."""
 
-    theta: float
+    sigma: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
     def norm_sq(self) -> float:
         return float(
-            self.theta**2 + np.sum(np.abs(self.u) ** 2) + np.sum(np.abs(self.v) ** 2)
+            np.sum(self.sigma**2) + np.sum(np.abs(self.u) ** 2) + np.sum(np.abs(self.v) ** 2)
         )
 
     def norm(self) -> float:
@@ -130,9 +132,9 @@ class TangentGradient:
 def minimize_q(cfg: SearchConfig) -> SearchReport:
     """Random-restart projected gradient descent on the subset-sum functional.
 
-    Each restart draws a uniform singular angle and Haar frames
-    (``distill._rank_two_draw``), then runs Armijo-backtracked descent with
-    Barzilai-Borwein trial steps and QR re-orthonormalization, stopping at
+    Each restart draws its start with ``distill._rank_two_draw``, then runs
+    Armijo-backtracked descent with Barzilai-Borwein trial steps, retracting
+    sigma by normalization and the frames by QR, stopping at
     ``grad_tol``, at ``max_iters`` or when a rejected trial promised a
     decrease below the value's rounding level; its record names which.  The
     report is deterministic given the config (restart seeds derive from
@@ -146,7 +148,7 @@ def minimize_q(cfg: SearchConfig) -> SearchReport:
     blocks = list(_seed_blocks(cfg.seed, cfg.restarts, 16 * cfg.side**2))
     seeds = [s for block in blocks for s in block]
     parts = [_descend_block(cfg, block) for block in blocks]
-    value, theta, frames, iterations, stop = (np.concatenate(arrays) for arrays in zip(*parts))
+    value, sigma, frames, iterations, stop = (np.concatenate(arrays) for arrays in zip(*parts))
     bad = np.flatnonzero(~np.isfinite(value))
     if bad.size:
         r = int(bad[0])
@@ -159,7 +161,7 @@ def minimize_q(cfg: SearchConfig) -> SearchReport:
     return SearchReport(
         config=cfg,
         best_value=float(value[best]),
-        best_point=_canonical_factors(theta[best], frames[best]),
+        best_point=_canonical_factors(sigma[best], frames[best]),
         per_restart=records,
         wall_time_s=time.perf_counter() - start,
     )
@@ -176,9 +178,8 @@ def grad_q(rt: RankTwoFactors, d: int, n: int, beta: float) -> TangentGradient:
     n = int(n)
     if rt.dim != d**n:
         raise ShapeError(f"factor length {rt.dim} does not equal {d}^{n}")
-    theta = np.array([math.atan2(rt.sigma2, rt.sigma1)])
-    _, gtheta, gframes, _ = _evaluate((d,) * n, beta, theta, rt.stack()[1])
-    return TangentGradient(theta=float(gtheta[0]), u=gframes[0, 0], v=gframes[0, 1])
+    _, gsigma, gframes, _ = _evaluate((d,) * n, beta, *rt.stack())
+    return TangentGradient(sigma=gsigma[0], u=gframes[0, 0], v=gframes[0, 1])
 
 
 def witness_tensor(beta: float, d: int) -> ComplexMatrix:
@@ -260,7 +261,7 @@ def _descend_block(cfg: SearchConfig, seeds: list[int]):
     """Armijo descent from one ``_rank_two_draw`` start per seed, the
     restarts advancing as one stack, one candidate per live row per round.
 
-    Returns per-restart arrays ``(value, theta, frames, iterations, stop)``,
+    Returns per-restart arrays ``(value, sigma, frames, iterations, stop)``,
     ``stop`` indexing ``STOP_REASONS``.  Each row keeps its own trial step
     and stop flag, so it runs exactly the serial algorithm: the first trial
     is 1; an accepted candidate becomes the point, hands over the value and
@@ -270,42 +271,43 @@ def _descend_block(cfg: SearchConfig, seeds: list[int]):
     rounding level.  The working arrays hold only the live rows; a row's
     final state is written out when it stops.
     """
-    theta, frames = _rank_two_draw([np.random.default_rng(seed) for seed in seeds], cfg.side)
-    value, gtheta, gframes, gn2 = _evaluate(cfg.dims, cfg.beta, theta, frames)
+    sigma, frames = _rank_two_draw([np.random.default_rng(seed) for seed in seeds], cfg.side)
+    value, gsigma, gframes, gn2 = _evaluate(cfg.dims, cfg.beta, sigma, frames)
     rows = np.arange(len(seeds))
     step = np.ones(len(seeds))
     iterations = np.zeros(len(seeds), dtype=np.int64)
     stop = np.where(np.sqrt(gn2) <= cfg.grad_tol, _GRAD_TOL, _LIVE)
-    out = tuple(np.empty_like(a) for a in (value, theta, frames, iterations, stop))
+    out = tuple(np.empty_like(a) for a in (value, sigma, frames, iterations, stop))
     while True:
         done = stop != _LIVE
         if done.any():
-            for dest, src in zip(out, (value, theta, frames, iterations, stop)):
+            for dest, src in zip(out, (value, sigma, frames, iterations, stop)):
                 dest[rows[done]] = src[done]
             keep = ~done
-            rows, theta, frames, value, gtheta, gframes, gn2, step, iterations = (
-                a[keep] for a in (rows, theta, frames, value, gtheta, gframes, gn2, step, iterations)
+            rows, sigma, frames, value, gsigma, gframes, gn2, step, iterations = (
+                a[keep] for a in (rows, sigma, frames, value, gsigma, gframes, gn2, step, iterations)
             )
         if not rows.size:
             return out
         t = step
-        cand_theta = theta - t * gtheta
+        cand_sigma = sigma - t[:, None] * gsigma
+        cand_sigma /= np.sqrt((cand_sigma * cand_sigma).sum(-1, keepdims=True))
         cand_frames = _qf(frames - t[:, None, None, None] * gframes)
-        cand_value, cand_gtheta, cand_gframes, cand_gn2 = _evaluate(cfg.dims, cfg.beta, cand_theta, cand_frames)
+        cand_value, cand_gsigma, cand_gframes, cand_gn2 = _evaluate(cfg.dims, cfg.beta, cand_sigma, cand_frames)
         ok = cand_value <= value - ARMIJO_C * t * gn2
-        inner = gtheta * cand_gtheta + _real_inner(gframes, cand_gframes)
+        inner = (gsigma * cand_gsigma).sum(-1) + _real_inner(gframes, cand_gframes)
         step = np.where(ok, _bb_step(t, gn2, cand_gn2, inner), ARMIJO_FACTOR * t)
         if ok.all():
             stop = _LIVE
-            theta, frames, value, gtheta, gframes, gn2 = (
-                cand_theta, cand_frames, cand_value, cand_gtheta, cand_gframes, cand_gn2
+            sigma, frames, value, gsigma, gframes, gn2 = (
+                cand_sigma, cand_frames, cand_value, cand_gsigma, cand_gframes, cand_gn2
             )
         else:
             # a negated test, so that a non-finite value stalls at once
             stalled = ~ok & ~(t * gn2 > ROUNDING_STOP * np.maximum(1.0, np.abs(value)))
             stop = np.where(stalled, _LINE_SEARCH, _LIVE)
-            for dest, src in zip((theta, frames, value, gtheta, gframes, gn2),
-                                 (cand_theta, cand_frames, cand_value, cand_gtheta, cand_gframes, cand_gn2)):
+            for dest, src in zip((sigma, frames, value, gsigma, gframes, gn2),
+                                 (cand_sigma, cand_frames, cand_value, cand_gsigma, cand_gframes, cand_gn2)):
                 np.copyto(dest, src, where=ok[(...,) + (None,) * (src.ndim - 1)])
         iterations += ok
         stop = np.where(np.sqrt(gn2) <= cfg.grad_tol, _GRAD_TOL, stop)
@@ -329,28 +331,28 @@ def _bb_step(t, gn2, new_gn2, inner):
     return np.where(curved, bb, 2.0 * t)
 
 
-def _evaluate(dims: tuple[int, ...], beta: float, theta: np.ndarray, frames: np.ndarray):
+def _evaluate(dims: tuple[int, ...], beta: float, sigma: np.ndarray, frames: np.ndarray):
     """Value, projected gradient and its squared norm at stacked points.
 
-    Returns ``(value, gtheta, gframes, gn2)``.
+    Returns ``(value, gsigma, gframes, gn2)``.
 
-    One lift Y = L(X) per point gives both: the value is
-    Re tr(X^H Y) = sum_k sigma_k Re(U^H Y V)_kk, and the Euclidean gradient
-    under Re<.,.> is 2 Y V diag(sigma) for U and 2 Y^H U diag(sigma) for V.
+    One lift Y = L(X) per point gives both: with a_k = Re(U^H Y V)_kk the
+    value is Re tr(X^H Y) = <sigma, a>, and the Euclidean gradient under
+    Re<.,.> is 2a for sigma, 2 Y V diag(sigma) for U and 2 Y^H U diag(sigma)
+    for V.  Projected onto the unit circle, sigma's is 2(a - value sigma).
     """
-    s = np.stack([np.cos(theta), np.sin(theta)], axis=-1)[:, None, :]
+    s = sigma[:, None, :]
     u, v = frames[:, 0], frames[:, 1]
     y = _lift((u * s) @ _adjoint(v), dims, beta)
     yv = y @ v
     uhy = _adjoint(u) @ y
     a = np.diagonal(uhy @ v, axis1=-2, axis2=-1).real
-    s1, s2 = s[:, 0, 0], s[:, 0, 1]
-    value = s1 * a[:, 0] + s2 * a[:, 1]
-    gtheta = 2.0 * (-s2 * a[:, 0] + s1 * a[:, 1])
+    value = (sigma * a).sum(-1)
+    gsigma = 2.0 * (a - value[:, None] * sigma)
     euclid = np.stack([yv, _adjoint(uhy)], axis=1) * (2.0 * s[:, None])
     gframes = _project_stiefel(frames, euclid)
-    gn2 = gtheta**2 + np.sum(gframes.real**2 + gframes.imag**2, axis=(1, 2, 3))
-    return value, gtheta, gframes, gn2
+    gn2 = (gsigma * gsigma).sum(-1) + _real_inner(gframes, gframes)
+    return value, gsigma, gframes, gn2
 
 
 def _lift(x: np.ndarray, dims: tuple[int, ...], beta: float) -> np.ndarray:
@@ -383,16 +385,14 @@ def _project_stiefel(frame: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - frame @ ((m + _adjoint(m)) / 2.0)
 
 
-def _canonical_factors(theta: float, frames: np.ndarray) -> RankTwoFactors:
-    """The search point ``(theta, frames)`` of one restart, with singular
+def _canonical_factors(sigma: np.ndarray, frames: np.ndarray) -> RankTwoFactors:
+    """The search point ``(sigma, frames)`` of one restart, with singular
     values made nonnegative (a negative one flips its U column) and sorted
-    in descending order (the columns swap when sigma1 < sigma2)."""
-    sigma = np.array([np.cos(theta), np.sin(theta)])
+    in descending order, ties kept in place."""
     frames = frames.copy()
-    neg = sigma < 0
-    sigma[neg] = -sigma[neg]
-    frames[0, :, neg] = -frames[0, :, neg]
-    order = [1, 0] if sigma[0] < sigma[1] else [0, 1]
+    frames[0] *= np.where(sigma < 0, -1.0, 1.0)
+    sigma = np.abs(sigma)
+    order = np.argsort(-sigma, kind="stable")
     return RankTwoFactors.from_stack(sigma[None, order], frames[None, ..., order])
 
 

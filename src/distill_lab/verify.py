@@ -16,6 +16,7 @@ import numpy as np
 
 from .bundles import write_bundle
 from .distill import (
+    CERTIFY_TOL,
     RankTwoFactors,
     _discriminant_slack,
     _pair_forms,
@@ -374,7 +375,7 @@ def _check_certify_sign_grid(seed, bundle_dir):
     for beta in (-0.6, -0.5, -0.3, -0.25, -0.1):
         params = WernerParams(2, beta)
         s1 = e_step(initial_iterate(params))
-        min_value, point = certify_iterate(params, 1, restarts=12, seed=seed, bundle_dir=bundle_dir)
+        min_value, point, _ = certify_iterate(params, 1, restarts=12, seed=seed, bundle_dir=bundle_dir)
         # returned point must reproduce the raw quadratic form on the operator
         psi = point.assemble().reshape(-1)
         direct = float(np.vdot(psi, iterate_partial_transpose(s1).data @ psi).real)
@@ -429,7 +430,7 @@ def _check_copy_floor(seed, bundle_dir):
                 for count in _sample_blocks(1500, 64 * (d**n) ** 2):
                     stack = random_rank_two_stack([rng] * count, d**n)
                     values = q_functional_stack(assemble_stack(*stack), dims, beta)
-                    for row in np.flatnonzero(values < -1e-9):
+                    for row in np.flatnonzero(values < -CERTIFY_TOL):
                         ok = False
                         rt = RankTwoFactors.from_stack(*stack, row)
                         val = float(values[row])
@@ -456,7 +457,7 @@ def _check_rank_one_positivity(seed, bundle_dir):
                 u /= _norms(u)[:, None]
                 v /= _norms(v)[:, None]
                 values = q_functional_stack(u[:, :, None] * v.conj()[:, None, :], dims, -0.5)
-                for val in values[values < -1e-9]:
+                for val in values[values < -CERTIFY_TOL]:
                     ok = False
                     detail = f"rank-one value {val:.3e} below floor at d={d} n={n}"
     return ok, detail

@@ -253,7 +253,7 @@ def test_criterion_10_iterate_consistency():
     exact = np.array_equal(s1.matrix.data, mat @ doubled @ mat.conj().T)
 
     params = WernerParams(3, -0.25)
-    min_value, _ = certify_iterate(params, 1, restarts=20, seed=SEED)
+    min_value, _, _ = certify_iterate(params, 1, restarts=20, seed=SEED)
     report(
         10,
         exact and min_value >= -1e-9,

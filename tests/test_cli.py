@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import platform
 import subprocess
@@ -5,10 +6,12 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
-from distill_lab import cli, linalg, optimize
+from distill_lab import cli, iterate, linalg, optimize
 from distill_lab.bundles import read_bundle
+from distill_lab.states import WernerParams
 
 
 def run(argv):
@@ -154,6 +157,14 @@ class TestMinimize:
     def test_floor_region_exits_zero(self):
         assert run(["minimize", "--d", "2", "--n", "2", "--beta", "-0.25", "--restarts", "8"]) == 0
 
+    def test_witness_threshold_is_the_certify_tolerance(self, tmp_path, monkeypatch):
+        # a minimum between -1e-8 and -1e-9 counts, as it does for iterate
+        search = cli.minimize_q
+        monkeypatch.setattr(cli, "minimize_q", lambda cfg: dataclasses.replace(search(cfg), best_value=-5e-9))
+        argv = ["minimize", "--d", "2", "--n", "2", "--beta", "-0.25", "--restarts", "2"]
+        assert run(argv + ["--out", str(tmp_path / "r.json")]) == 3
+        assert len(list(tmp_path.glob("violation-*.bundle"))) == 1
+
     def test_beta_zero_constant_objective(self, capsys):
         assert run(["minimize", "--d", "2", "--n", "2", "--beta", "0", "--restarts", "2"]) == 0
         assert "best_value = 1" in capsys.readouterr().out
@@ -233,7 +244,7 @@ class TestVerify:
         assert run(["verify", "--suite", "report", "--in", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "[ok] value-reproduces" in printed
-        assert printed.splitlines()[-1] == "3/3 checks passed"
+        assert printed.splitlines()[-1] == "2/2 checks passed"
 
     def test_edited_report_fails_value_check(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -249,10 +260,9 @@ class TestVerify:
         capsys.readouterr()
         assert run(["verify", "--suite", "report", "--in", str(out)]) == 1
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith("[ok] factors-valid")
-        assert lines[1].startswith("[FAIL] value-reproduces")
-        assert lines[2].startswith("[ok] best-matches-restarts")
-        assert lines[3] == "2/3 checks passed"
+        assert lines[0].startswith("[FAIL] value-reproduces")
+        assert lines[1].startswith("[ok] best-matches-restarts")
+        assert lines[2] == "1/2 checks passed"
 
     def test_report_suite_requires_input(self):
         assert run(["verify", "--suite", "report"]) == 2
@@ -306,12 +316,33 @@ class TestHessian:
         assert run(["hessian", "--d", "2", "--samples", "1", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 4
 
-    def test_byte_identical_reruns(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        run(["hessian", "--d", "2", "--samples", "10", "--seed", "77", "--out", str(a)])
-        run(["hessian", "--d", "2", "--samples", "10", "--seed", "77", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+    def test_byte_identical_reruns(self, tmp_path, capsys):
+        # command -> (arguments, the --out file compared, or None for stdout)
+        runs = {
+            "hessian": (["--d", "2", "--samples", "10"], "h.csv"),
+            "minimize": (["--d", "2", "--n", "2", "--beta", "-0.6", "--restarts", "4"], "m.json"),
+            "sweep": (["--d", "2", "--n", "2", "--beta-grid=-0.6,-0.3", "--restarts", "4"], "s.csv"),
+            "iterate": (["--d", "2", "--k", "2", "--beta", "-0.25", "--restarts", "4"], None),
+            "verify": (["--suite", "all"], None),
+        }
+        for command, (args, out) in runs.items():
+            outputs = []
+            for rerun in ("a", "b"):
+                rerun_dir = tmp_path / f"{command}-{rerun}"
+                rerun_dir.mkdir()
+                argv = [command, *args, "--seed", "77"]
+                argv += ["--out", str(rerun_dir / out)] if out else ["--bundle-dir", str(rerun_dir)]
+                run(argv)
+                output = capsys.readouterr().out.encode()
+                if out:
+                    output = (rerun_dir / out).read_bytes()
+                if command == "minimize":
+                    # the one field a rerun may change
+                    payload = json.loads(output)
+                    payload["report"]["wall_time_s"] = 0.0
+                    output = json.dumps(payload).encode()
+                outputs.append(output)
+            assert outputs[0] == outputs[1], command
 
     def test_csv_does_not_depend_on_block_size(self, tmp_path, monkeypatch):
         # 202 Hessians of side 18 a block: 450 samples take three blocks
@@ -361,6 +392,38 @@ class TestIterate:
         captured = capsys.readouterr()
         assert "step" not in captured.out
         assert "need at least one restart" in captured.err
+
+    def test_small_unit_norm_minimum_is_a_witness(self, tmp_path, capsys, monkeypatch):
+        # q = -1e-7 on the unit-norm functional is -4.5e-11 once scaled by the
+        # normalization 47.25^2: the sign is decided before the scaling
+        search = iterate.minimize_q
+        reports = []
+
+        def shifted(cfg):
+            reports.append(dataclasses.replace(search(cfg), best_value=-1e-7))
+            return reports[-1]
+
+        monkeypatch.setattr(iterate, "minimize_q", shifted)
+        code = run(
+            ["iterate", "--d", "7", "--k", "1", "--beta", "-0.25", "--restarts", "2",
+             "--bundle-dir", str(tmp_path)]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        scaled = -1e-7 / WernerParams(7, -0.25).normalization**2
+        assert f"min quadratic form = {cli._fmt(scaled)}" in out
+        files = list(tmp_path.glob("witness-k1-*.bundle"))
+        assert len(files) == 1
+        assert f"witness bundle: {files[0]}" in out
+        bundle = read_bundle(files[0])
+        point = reports[0].best_point
+        assert bundle.kind == "distillation-witness"
+        assert bundle.params == {
+            "d": 7, "n": 2, "beta": -0.25, "seed": reports[0].config.seed, "min_value": scaled,
+            "sigma1": point.sigma1, "sigma2": point.sigma2,
+        }
+        for name in ("u1", "v1", "u2", "v2"):
+            assert np.array_equal(bundle.vectors[name], getattr(point, name))
 
     def test_unmaterialized_side_writes_witness_bundle(self, tmp_path, capsys):
         code = run(

@@ -216,7 +216,8 @@ class TestRankTwoDraw:
     @staticmethod
     def _per_call_draw(rngs, side):
         """The draw made call by call: an angle, then U.re, U.im, V.re, V.im
-        as four ``(side, 2)`` Gaussian calls, then one stacked ``_qf``."""
+        as four ``(side, 2)`` Gaussian calls; sigma is the angles' (cos, sin)
+        and one stacked ``_qf`` makes the frames."""
         theta = np.empty(len(rngs))
         raw = np.empty((len(rngs), 2, side, 2), dtype=np.complex128)
         for r, rng in enumerate(rngs):
@@ -224,7 +225,7 @@ class TestRankTwoDraw:
             for frame in (0, 1):
                 re = rng.standard_normal((side, 2))
                 raw[r, frame] = re + 1j * rng.standard_normal((side, 2))
-        return theta, _qf(raw)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1), _qf(raw)
 
     @pytest.mark.parametrize("side", [4, 27, 64])
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
@@ -235,9 +236,10 @@ class TestRankTwoDraw:
             return [np.random.default_rng(_child_seed(31, r)) for r in range(5)]
 
         drawn, expect = generators(), generators()
-        theta, frames = _rank_two_draw(drawn, side)
-        theta_ref, frames_ref = self._per_call_draw(expect, side)
-        assert theta.tobytes() == theta_ref.tobytes()
+        sigma, frames = _rank_two_draw(drawn, side)
+        sigma_ref, frames_ref = self._per_call_draw(expect, side)
+        assert sigma.shape == (5, 2)
+        assert sigma.tobytes() == sigma_ref.tobytes()
         assert frames.shape == (5, 2, side, 2)
         assert frames.tobytes() == frames_ref.tobytes()
         # each generator is left where the per-call draw leaves it
@@ -422,7 +424,7 @@ class TestCheckRankTwoInequality:
             expect = tuple(f_bilinear(a, b, -0.5).real for a, b in ((x1, x1), (x2, x2), (x1, x2)))
             assert _pair_forms(rt, d) == expect
 
-    def test_general_beta_agrees_with_default_at_half(self):
+    def test_polarized_slack_matches_the_trace_formulas(self):
         # at -1/2 the polarized route and the explicit trace formulas meet
         rng = np.random.default_rng(13)
         for _ in range(400):

@@ -282,7 +282,8 @@ class TestEStep:
 class TestCertifyIterate:
     def test_distillable_region_yields_negative_minimum(self):
         params = WernerParams(2, -0.6)
-        min_value, point = certify_iterate(params, 0, restarts=10, seed=1)
+        min_value, point, witness = certify_iterate(params, 0, restarts=10, seed=1)
+        assert witness
         expect = (1 + 2 * params.beta) / params.normalization
         assert min_value == pytest.approx(expect, abs=1e-8)
         # witness reproduces the raw quadratic form
@@ -293,11 +294,11 @@ class TestCertifyIterate:
         assert direct == pytest.approx(min_value, abs=1e-10)
 
     def test_two_copy_floor_region_nonnegative(self):
-        min_value, _ = certify_iterate(WernerParams(3, -0.25), 1, restarts=10, seed=2)
-        assert min_value >= -1e-9
+        min_value, _, witness = certify_iterate(WernerParams(3, -0.25), 1, restarts=10, seed=2)
+        assert min_value >= -1e-9 and not witness
 
     def test_separable_point_trivially_nonnegative(self):
-        min_value, _ = certify_iterate(WernerParams(2, 0.0), 1, restarts=4, seed=3)
+        min_value, _, _ = certify_iterate(WernerParams(2, 0.0), 1, restarts=4, seed=3)
         assert min_value >= 0.0
 
     def test_rejects_negative_k(self):
@@ -310,8 +311,8 @@ class TestCertifyIterate:
 
     def test_witness_bundle_written_on_violation(self, tmp_path):
         params = WernerParams(2, -0.7)
-        min_value, _ = certify_iterate(params, 0, restarts=6, seed=5, bundle_dir=tmp_path)
-        assert min_value < -1e-9
+        min_value, _, witness = certify_iterate(params, 0, restarts=6, seed=5, bundle_dir=tmp_path)
+        assert witness and min_value < -1e-9
         files = list(tmp_path.glob("witness-k0-*.bundle"))
         assert len(files) == 1
         bundle = read_bundle(files[0])
