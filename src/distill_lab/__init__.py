@@ -32,7 +32,6 @@ from .linalg import (
 from .multivar import (
     RankOnePoint,
     f_real,
-    g_value,
     grad_g,
     hessian_g,
     hessian_spectrum_sweep,
@@ -43,7 +42,6 @@ from .optimize import (
     SearchReport,
     grad_q,
     minimize_q,
-    witness_tensor,
 )
 from .schmidt import (
     SchmidtData,
@@ -88,7 +86,6 @@ __all__ = [
     "e_step",
     "f_bilinear",
     "f_real",
-    "g_value",
     "ge_operator",
     "grad_g",
     "grad_q",

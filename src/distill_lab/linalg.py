@@ -94,12 +94,6 @@ class ComplexMatrix:
         """Read-only view shaped ``row_dims + col_dims``."""
         return self.data.reshape(self.row_dims + self.col_dims)
 
-    @staticmethod
-    def identity(dims: Iterable[int]) -> "ComplexMatrix":
-        dims = _as_dims(dims)
-        n = math.prod(dims)
-        return ComplexMatrix(np.eye(n, dtype=np.complex128), dims, dims)
-
 
 def _adopt(arr: np.ndarray, row_dims, col_dims) -> ComplexMatrix:
     """A ``ComplexMatrix`` that takes over ``arr`` without the defensive copy.

@@ -11,7 +11,11 @@ The analytic gradient and Hessian below follow from differentiating
     g(C)    = f(C, C) f(D0, D0) - f(C, D0)^2
 
 where C1/C2 are the two partial traces of C.  The Hessian blocks are only
-stated on the critical manifold C = D0.
+stated on the critical manifold C = D0, so ``hessian_g_stack`` takes the
+critical point alone, as the pair (y, z).  There f(C,D0) = f(D0,D0), and in
+the mixed block the kron and trace terms of f(C,C) cancel exactly against
+twice those of f(C,D0); only the outer-product and index-crossing terms are
+built.
 """
 
 from __future__ import annotations
@@ -104,18 +108,11 @@ def f_real_stack(
     return plain + beta * (left + right) + beta * beta * traces
 
 
-def g_value(p: RankOnePoint, beta: float) -> float:
-    """f(C,C) f(D0,D0) - f(C,D0)^2; zero whenever C == D0.
-
-    This is ``g_value_stack`` on a stack of one.
-    """
-    return float(g_value_stack(p.w[None], p.x[None], p.y, p.z, beta)[0])
-
-
 def g_value_stack(
     w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, beta: float
 ) -> np.ndarray:
-    """``g_value`` at each row of two stacks ``(S, d^2)`` of variables (w, x).
+    """g = f(C,C) f(D0,D0) - f(C,D0)^2 at each row of two stacks ``(S, d^2)``
+    of variables (w, x); zero whenever C == D0.
 
     The parameters (y, z) are one pair of length-d^2 vectors shared by every
     row.  Returns ``(S,)``; row s depends only on w[s] and x[s].
@@ -153,29 +150,25 @@ def hessian_g(p: RankOnePoint, beta: float) -> np.ndarray:
     """
     if not p.is_critical():
         raise ShapeError("analytic Hessian is only defined at critical points (w == y, x == z)")
-    return hessian_g_stack(p.w[None], p.x[None], p.y[None], p.z[None], beta)[0]
+    return hessian_g_stack(p.y[None], p.z[None], beta)[0]
 
 
-def hessian_g_stack(
-    w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray, beta: float
-) -> np.ndarray:
-    """``hessian_g`` at each row of four stacks ``(S, d^2)`` of critical points.
+def hessian_g_stack(y: np.ndarray, z: np.ndarray, beta: float) -> np.ndarray:
+    """``hessian_g`` at each critical point C = D0 = y z^T of two stacks ``(S, d^2)``.
 
-    Rows are the vectors of ``RankOnePoint``s the caller knows to be critical;
-    f(D0, D0) comes from (y, z) and every other term from (w, x).  Returns
-    ``(S, 2*d^2, 2*d^2)``; row s depends only on the vectors of row s.
+    Returns ``(S, 2*d^2, 2*d^2)``; row s depends only on y[s] and z[s].
     """
-    count, n = w.shape
+    count, n = y.shape
     d = math.isqrt(n)
     beta = float(beta)
-    wm = w.reshape(count, d, d)
-    xm = x.reshape(count, d, d)
+    ym = y.reshape(count, d, d)
+    zm = z.reshape(count, d, d)
     f0 = f_real_stack(y, z, y, z, beta)[:, None, None]
-    a = _h2(wm, xm, xm, beta).reshape(count, n)  # d f(C,D0) / dw at the point
-    b = _h2(xm, wm, wm, beta).reshape(count, n)  # d f(C,D0) / dx at the point
-    h_ww = f0 * _h3(xm, beta) - 2.0 * _outer(a, a)
-    h_xx = f0 * _h3(wm, beta) - 2.0 * _outer(b, b)
-    h_wx = f0 * _h4(wm, xm, beta) - 2.0 * f0 * _h5(wm, xm, beta) - 2.0 * _outer(a, b)
+    a = _h2(ym, zm, zm, beta).reshape(count, n)  # d f(C,D0) / dw at the point
+    b = _h2(zm, ym, ym, beta).reshape(count, n)  # d f(C,D0) / dx at the point
+    h_ww = f0 * _h3(zm, beta) - 2.0 * _outer(a, a)
+    h_xx = f0 * _h3(ym, beta) - 2.0 * _outer(b, b)
+    h_wx = f0 * _h4(ym, zm, beta) - 2.0 * _outer(a, b)
     return np.block([[h_ww, h_wx], [_t(h_wx), h_xx]])
 
 
@@ -260,7 +253,7 @@ def hessian_spectrum_sweep(
         # the stacked 1 x n by n x 1 products are the dots np.linalg.norm takes
         yz /= np.sqrt(yz[:, :, None, :] @ yz[:, :, :, None])[:, :, 0]
         y, z = yz
-        min_eigs = np.linalg.eigvalsh(hessian_g_stack(y, z, y, z, beta))[:, 0]
+        min_eigs = np.linalg.eigvalsh(hessian_g_stack(y, z, beta))[:, 0]
         for r, (child, min_eig) in enumerate(zip(seeds, min_eigs.tolist())):
             if min_eig < HESSIAN_FINDING_THRESHOLD and bundle_dir is not None:
                 bundle = Bundle(
@@ -354,37 +347,21 @@ def _h3(xm: np.ndarray, beta: float) -> np.ndarray:
     )
 
 
-def _h4(wm: np.ndarray, xm: np.ndarray, beta: float) -> np.ndarray:
-    """Mixed second derivative of f(C,C) across the two factors.
+def _h4(ym: np.ndarray, zm: np.ndarray, beta: float) -> np.ndarray:
+    """Mixed second derivative of f(C,C) - 2 f(C,D0) across the two factors
+    at C = D0 = y z^T.
 
-    Every beta term carries the factor 2 produced by differentiating the
-    squared partial-trace norms twice; symmetry check: _h4(w, x) equals
-    _h4(x, w) transposed.
+    The kron and trace terms of f(C,C)'s mixed derivative are exactly twice
+    those of f(C,D0)'s and cancel; what is left is the outer products and the
+    two index-crossing terms, each carrying the factor 2 produced by
+    differentiating a squared partial-trace norm twice.
     """
-    count, d, _ = wm.shape
-    eye = np.eye(d)
-    w = wm.reshape(count, d * d)
-    x = xm.reshape(count, d * d)
-    cross_a = np.einsum("sil,skj->sijkl", wm, xm).reshape(count, d * d, d * d)
-    cross_b = np.einsum("sil,skj->sijkl", xm, wm).reshape(count, d * d, d * d)
-    return (
-        4.0 * _outer(w, x)
-        + 2.0 * beta * (_kron(wm @ _t(xm), eye) + cross_a + _kron(eye, _t(wm) @ xm) + cross_b)
-        + 2.0 * beta * beta * (_msum(wm * xm) * np.eye(d * d) + _outer(x, w))
-    )
-
-
-def _h5(ym: np.ndarray, zm: np.ndarray, beta: float) -> np.ndarray:
-    """Mixed second derivative of f(C,D0) across the two variable factors."""
     count, d, _ = ym.shape
-    eye = np.eye(d)
     y = ym.reshape(count, d * d)
     z = zm.reshape(count, d * d)
-    return (
-        _outer(y, z)
-        + beta * (_kron(ym @ _t(zm), eye) + _kron(eye, _t(ym) @ zm))
-        + beta * beta * _msum(ym * zm) * np.eye(d * d)
-    )
+    cross_a = np.einsum("sil,skj->sijkl", ym, zm).reshape(count, d * d, d * d)
+    cross_b = np.einsum("sil,skj->sijkl", zm, ym).reshape(count, d * d, d * d)
+    return 2.0 * _outer(y, z) + 2.0 * beta * (cross_a + cross_b) + 2.0 * beta * beta * _outer(z, y)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

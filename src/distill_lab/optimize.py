@@ -24,7 +24,7 @@ import numpy as np
 
 from .distill import RankTwoFactors, _rank_two_draw, _real_inner
 from .errors import DimensionLimitError, ShapeError
-from .linalg import ComplexMatrix, _adjoint, _qf, _seed_blocks, _trace_slot
+from .linalg import _adjoint, _qf, _seed_blocks, _trace_slot
 
 # Largest composite side d^n the factored search will handle.
 MINIMIZE_SIDE_CAP = 256
@@ -180,28 +180,6 @@ def grad_q(rt: RankTwoFactors, d: int, n: int, beta: float) -> TangentGradient:
         raise ShapeError(f"factor length {rt.dim} does not equal {d}^{n}")
     _, gsigma, gframes, _ = _evaluate((d,) * n, beta, *rt.stack())
     return TangentGradient(sigma=gsigma[0], u=gframes[0, 0], v=gframes[0, 1])
-
-
-def witness_tensor(beta: float, d: int) -> ComplexMatrix:
-    """Two-slot product witness with functional value (1+2*beta)*(1+beta).
-
-    The left factor is the balanced rank-two diagonal (unit entries at 00 and
-    11 over sqrt(2)), the right a single matrix unit; the subset sum
-    factorizes over the tensor product, giving a strictly negative value for
-    beta in (-1, -1/2) and zero at both endpoints.  Rejects beta > -1/2,
-    where the construction is not negative.
-    """
-    beta = float(beta)
-    d = int(d)
-    if d < 2:
-        raise ShapeError(f"local dimension must be >= 2, got {d}")
-    if beta > -0.5 or beta < -1.0:
-        raise ValueError(f"witness requires beta in [-1, -1/2], got {beta}")
-    left = np.zeros((d, d), dtype=np.complex128)
-    left[0, 0] = left[1, 1] = 1.0 / math.sqrt(2.0)
-    right = np.zeros((d, d), dtype=np.complex128)
-    right[0, 0] = 1.0
-    return ComplexMatrix(np.kron(left, right), (d, d), (d, d))
 
 
 def report_to_json(report: SearchReport) -> dict:

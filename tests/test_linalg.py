@@ -51,11 +51,6 @@ class TestComplexMatrix:
         assert raw.flags.writeable
         assert np.array_equal(m.data, np.eye(2))
 
-    def test_identity_constructor(self):
-        m = ComplexMatrix.identity((2, 3))
-        assert m.rows == 6 and m.row_dims == (2, 3)
-        assert np.array_equal(m.data, np.eye(6))
-
 
 class TestMultipartiteState:
     def test_requires_normalization(self):
@@ -92,7 +87,7 @@ def test_operation_results_are_read_only(name):
 
 class TestKron:
     def test_identity_case(self):
-        out = kron(ComplexMatrix.identity((2,)), ComplexMatrix.identity((2,)))
+        out = kron(ComplexMatrix(np.eye(2), (2,), (2,)), ComplexMatrix(np.eye(2), (2,), (2,)))
         assert np.array_equal(out.data, np.eye(4))
         assert out.row_dims == (2, 2)
 
@@ -117,7 +112,7 @@ class TestKron:
     def test_dimension_cap(self):
         # 257 x 256 rows is just past DEFAULT_DIM_CAP = 2^16; the check runs first
         with pytest.raises(DimensionLimitError):
-            kron(ComplexMatrix.identity((257,)), ComplexMatrix.identity((256,)))
+            kron(ComplexMatrix(np.eye(257), (257,), (257,)), ComplexMatrix(np.eye(256), (256,), (256,)))
 
 
 class TestPartialTrace:
@@ -129,7 +124,7 @@ class TestPartialTrace:
         assert np.allclose(out.data, a.data * np.trace(b.data))
 
     def test_identity_with_two_slots(self):
-        out = partial_trace(ComplexMatrix.identity((2, 2)), [0])
+        out = partial_trace(ComplexMatrix(np.eye(4), (2, 2), (2, 2)), [0])
         assert np.allclose(out.data, 2.0 * np.eye(2))
         assert out.row_dims == (2,)
 
@@ -172,7 +167,7 @@ class TestPartialTrace:
 
     def test_rejects_bad_slot(self):
         with pytest.raises(ShapeError):
-            partial_trace(ComplexMatrix.identity((2, 2)), [2])
+            partial_trace(ComplexMatrix(np.eye(4), (2, 2), (2, 2)), [2])
 
 
 class TestPartialTranspose:
@@ -203,7 +198,7 @@ class TestPartialTranspose:
 
     def test_rejects_bad_subsystem(self):
         with pytest.raises(ShapeError):
-            partial_transpose(ComplexMatrix.identity((2, 2)), 5)
+            partial_transpose(ComplexMatrix(np.eye(4), (2, 2), (2, 2)), 5)
 
     def test_rejects_nonsquare_composite(self):
         with pytest.raises(ShapeError):
@@ -255,7 +250,7 @@ class TestPermuteSubsystems:
         assert np.linalg.norm(out.data) == np.linalg.norm(m.data)
 
     def test_dims_mismatch(self):
-        m = ComplexMatrix.identity((2, 2))
+        m = ComplexMatrix(np.eye(4), (2, 2), (2, 2))
         with pytest.raises(ShapeError):
             permute_subsystems(m, SubsystemPermutation((0, 1), (2, 3)))
 

@@ -11,7 +11,6 @@ from distill_lab.multivar import (
     f_real,
     fd_gradient,
     fd_hessian,
-    g_value,
     g_value_stack,
     grad_g,
     hessian_g,
@@ -30,6 +29,11 @@ def unit(n, idx):
 def normalized(rng, n):
     v = rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def g_value(w, x, y, z, beta):
+    """g at one point (w, x) with parameters (y, z): the stack of one."""
+    return float(g_value_stack(w[None], x[None], y, z, beta)[0])
 
 
 class TestRankOnePoint:
@@ -88,13 +92,13 @@ class TestGValue:
         for _ in range(20):
             y = rng.standard_normal(9)
             z = rng.standard_normal(9)
-            assert abs(g_value(RankOnePoint(y, z, y, z), -0.5)) < 1e-12
+            assert abs(g_value(y, z, y, z, -0.5)) < 1e-12
 
     def test_orthogonal_point_at_beta_zero(self):
         n = 4
         w, y = unit(n, 0), unit(n, 1)
         x = z = unit(n, 2)
-        val = g_value(RankOnePoint(w, x, y, z), 0.0)
+        val = g_value(w, x, y, z, 0.0)
         assert val == pytest.approx(1.0)  # ||C||^2 ||D0||^2 with zero overlap
         assert val >= 0
 
@@ -106,7 +110,7 @@ class TestGValue:
             f_real((w, x), (w, x), beta) * f_real((y, z), (y, z), beta)
             - f_real((w, x), (y, z), beta) ** 2
         )
-        assert g_value(RankOnePoint(w, x, y, z), beta) == pytest.approx(expect, abs=1e-12)
+        assert g_value(w, x, y, z, beta) == pytest.approx(expect, abs=1e-12)
 
 
 class TestGValueStack:
@@ -120,7 +124,6 @@ class TestGValueStack:
             assert stack.shape == (11,)
             for s in range(11):
                 assert stack[s] == g_value_stack(w[s : s + 1], x[s : s + 1], y, z, -0.4)[0]
-                assert stack[s] == g_value(RankOnePoint(w[s], x[s], y, z), -0.4)
 
     def test_column_views_give_the_same_bits(self):
         # the finite-difference callers pass the two halves of each probe row
@@ -190,21 +193,36 @@ class TestHessianG:
             assert np.max(np.abs(h - h.T)) < 1e-10
 
     def test_matches_central_difference_hessian(self):
-        rng = np.random.default_rng(9)
-        for d in (2, 3):
+        for d in (2, 3, 4):
+            rng = np.random.default_rng((9, d))
             n = d * d
-            for _ in range(5):
-                y = normalized(rng, n)
-                z = normalized(rng, n)
-                beta = -0.5
-                analytic = hessian_g(RankOnePoint(y, z, y, z), beta)
+            for beta in (-1.0, -0.5, -0.4, 0.3):
+                for _ in range(5):
+                    y = normalized(rng, n)
+                    z = normalized(rng, n)
+                    analytic = hessian_g(RankOnePoint(y, z, y, z), beta)
 
-                def fn(v):
-                    return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
+                    def fn(v):
+                        return g_value_stack(v[:, :n], v[:, n:], y, z, beta)
 
-                numeric = fd_hessian(fn, np.concatenate([y, z]))
-                rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
-                assert rel < 1e-4
+                    numeric = fd_hessian(fn, np.concatenate([y, z]))
+                    rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(numeric)
+                    assert rel < 1e-4, (d, beta, rel)
+
+    def test_scaling_directions_are_in_the_kernel(self):
+        # every point t C of the line through C = D0 is critical, so moving
+        # either factor along itself leaves the gradient at zero
+        rng = np.random.default_rng(11)
+        for d in (2, 3, 4):
+            n = d * d
+            zero = np.zeros(n)
+            for beta in (-1.0, -0.5, -0.4, 0.3):
+                for _ in range(10):
+                    y = normalized(rng, n)
+                    z = normalized(rng, n)
+                    h = hessian_g(RankOnePoint(y, z, y, z), beta)
+                    assert np.linalg.norm(h @ np.concatenate([y, zero])) <= 1e-12
+                    assert np.linalg.norm(h @ np.concatenate([zero, z])) <= 1e-12
 
     def test_reference_parameter_choice_is_psd(self):
         # single off-diagonal unit entry for both parameters
@@ -219,18 +237,20 @@ class TestHessianGStack:
         count, n = 7, 9
         y = rng.standard_normal((count, n))
         z = rng.standard_normal((count, n))
-        # variables off the parameters by less than CRITICAL_POINT_TOL
+        # variables off the parameters by less than CRITICAL_POINT_TOL: the
+        # Hessian is built from the critical point (y, z) alone
         w = y + 1e-13 * rng.uniform(-1.0, 1.0, (count, n))
-        stack = hessian_g_stack(w, z, y, z, -0.4)
+        stack = hessian_g_stack(y, z, -0.4)
         assert stack.shape == (count, 2 * n, 2 * n)
         for s in range(count):
+            assert np.array_equal(stack[s], hessian_g_stack(y[s : s + 1], z[s : s + 1], -0.4)[0])
             assert np.array_equal(stack[s], hessian_g(RankOnePoint(w[s], z[s], y[s], z[s]), -0.4))
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(22)
         y = rng.standard_normal((5, 16))
         z = rng.standard_normal((5, 16))
-        stack = hessian_g_stack(y, z, y, z, -0.5)
+        stack = hessian_g_stack(y, z, -0.5)
         assert np.array_equal(stack, np.swapaxes(stack, -1, -2))
 
 

@@ -63,26 +63,48 @@ def test_unknown_suite_rejected():
         run_suite("bogus")
 
 
+def test_iterate_suite_writes_no_bundle(tmp_path):
+    # certify-sign-grid expects a witness below -1/2; a passing run keeps nothing
+    results = run_suite("iterate", bundle_dir=tmp_path)
+    assert all(r.ok for r in results)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_copy_floor_violation_writes_a_bundle_that_reads_back(tmp_path, monkeypatch):
     writes = []
+    samples = {}
     real_write = verify.write_bundle
+    real_values = verify.q_functional_stack
 
     def recording_write(bundle, path):
         writes.append((path, bundle))
         return real_write(bundle, path)
 
+    def recording_values(x, dims, beta):
+        values = real_values(x, dims, beta)
+        samples.setdefault((dims[0], len(dims), beta), []).append(values)
+        return values
+
     # a floor below the root bound, where the subset sum goes negative
     monkeypatch.setattr(verify, "beta_bound", lambda n: -0.75)
     monkeypatch.setattr(verify, "write_bundle", recording_write)
+    monkeypatch.setattr(verify, "q_functional_stack", recording_values)
     ok, detail = verify._check_copy_floor(0xD157, tmp_path)
     assert not ok
-    assert writes
+    # one bundle per violating (d, n, beta) grid point, holding its most negative sample
+    worst = {key: float(np.min(np.concatenate(v))) for key, v in samples.items()}
+    violating = sorted(key for key, value in worst.items() if value < -1e-9)
+    assert len(violating) > 1
+    assert sorted((b.params["d"], b.params["n"], b.params["beta"]) for _, b in writes) == violating
+    assert len({path for path, _ in writes}) == len(writes)
     assert detail.startswith("floor violated: q=")
-    assert detail.endswith(f"(bundle: {writes[-1][0]})")
-    for path, bundle in dict(writes).items():  # the last bundle written to each path
+    assert detail.count("q=") == len(writes)
+    grid = (-0.75, -0.75 + 0.1, 0.0)
+    for path, bundle in writes:
         p = bundle.params
-        assert path == tmp_path / f"floor-{p['d']}-{p['n']}.bundle"
-        assert p["value"] < -1e-9
+        assert path == tmp_path / f"floor-{p['d']}-{p['n']}-{grid.index(p['beta'])}.bundle"
+        assert f"(bundle: {path})" in detail
+        assert p["value"] == worst[(p["d"], p["n"], p["beta"])]
         loaded = read_bundle(path)
         assert loaded.kind == bundle.kind == "copy-floor-violation"
         assert loaded.params == p
