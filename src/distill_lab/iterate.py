@@ -9,7 +9,7 @@ starting state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +46,27 @@ class IterateState:
 
     The matrix keeps the merged two-part structure (A block, B block) in its
     composite dims so the next exchange acts on the right slots.
+
+    ``spectrum`` holds the matrix's eigenvalues in ascending order, read-only,
+    and positivity is decided on it: the smallest must be at least
+    ``DENSITY_PSD_TOL``.  It is not a constructor argument, so no caller can
+    hand in values the check would trust.  A state built here takes it from
+    ``np.linalg.eigvalsh`` of its own matrix; ``e_step`` derives its output's
+    from the parent's (see there).  Trace and Hermiticity are checked on the
+    matrix itself, in that order, before positivity.
     """
 
     k: int
     matrix: ComplexMatrix
     local_dim: int
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check(None)
+
+    def _check(self, spectrum: "np.ndarray | None") -> None:
+        """Validate the state and keep ``spectrum``, or the matrix's own
+        eigenvalues when it is None."""
         k = int(self.k)
         local_dim = int(self.local_dim)
         m = self.matrix
@@ -68,28 +82,37 @@ class IterateState:
         if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
             raise ShapeError(f"density matrix trace must be 1 within {DENSITY_TRACE_TOL}, got {tr}")
         # A real matrix is checked in real arithmetic: max|m - m^H| is then
-        # max|r - r^T|, and Hermitian PSD is real-symmetric PSD, so the
+        # max|r - r^T|, and eigvalsh of r is the spectrum of m, so the
         # decisions match the complex route at a fraction of its cost.
         a = m.data if m.data.imag.any() else m.data.real
         dev = _hermitian_deviation(a)
         if not dev <= HERMITICITY_TOL:
             raise SymmetryError(f"density matrix must be Hermitian, deviation {dev:.3e}")
-        # The smallest eigenvalue is at least DENSITY_PSD_TOL exactly when the
-        # diagonally shifted matrix has a Cholesky factor (up to rounding far
-        # below the tolerance).  That takes about a quarter of the flops of
-        # eigvalsh, which runs only to report a rejection.
-        shifted = np.array(a)
-        shifted.flat[:: m.rows + 1] -= DENSITY_PSD_TOL
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(a)[0])
-            if not min_eig >= DENSITY_PSD_TOL:
-                raise ShapeError(
-                    f"density matrix must be PSD within {DENSITY_PSD_TOL}, min eig {min_eig:.3e}"
-                ) from None
+        if spectrum is None:
+            spectrum = np.linalg.eigvalsh(a)
+        spectrum.setflags(write=False)
+        min_eig = float(spectrum[0])
+        if not min_eig >= DENSITY_PSD_TOL:
+            raise ShapeError(
+                f"density matrix must be PSD within {DENSITY_PSD_TOL}, min eig {min_eig:.3e}"
+            )
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "local_dim", local_dim)
+        object.__setattr__(self, "spectrum", spectrum)
+
+
+def _derived(k: int, matrix: ComplexMatrix, local_dim: int, spectrum: np.ndarray) -> IterateState:
+    """An ``IterateState`` that takes ``spectrum`` as its matrix's eigenvalues.
+
+    Only for ``e_step``, whose output spectrum follows exactly from its
+    parent's; the state is otherwise checked as the constructor checks it.
+    """
+    s = object.__new__(IterateState)
+    object.__setattr__(s, "k", k)
+    object.__setattr__(s, "matrix", matrix)
+    object.__setattr__(s, "local_dim", local_dim)
+    s._check(spectrum)
+    return s
 
 
 def _hermitian_deviation(a: np.ndarray) -> float:
@@ -123,6 +146,19 @@ def e_step(s: IterateState) -> IterateState:
     and the partial transpose of the output equals the exchange conjugation
     of the tensored partial transposes: transposing both A slots commutes
     with a permutation that never mixes A and B slots.
+
+    The output's spectrum is the sorted pairwise products of the parent's
+    eigenvalues: ``rho (x) rho`` has eigenvalues ``l_i * l_j``, and conjugating
+    by a permutation keeps them.  Positivity is decided on those products,
+    so no spectrum or factor of the output (side D^2 for a parent of side D)
+    is computed; trace and Hermiticity are still checked on the output
+    itself.  The permutation moves entries without rounding them, and each
+    entry of the computed Kronecker product of a real ``rho`` is one rounded
+    product, so by Weyl's inequality every eigenvalue of the materialized
+    output lies within ``u * ||rho||_F^2`` of the exact products (``u`` the
+    unit roundoff, 2^-53; a complex ``rho`` adds a small constant factor).
+    With ``||rho||_F <= 1`` for a density matrix, that is far below the
+    tolerance.
     """
     d = s.local_dim
     new_local = d * d
@@ -131,10 +167,8 @@ def e_step(s: IterateState) -> IterateState:
     exchanged = permute_subsystems(kron(s.matrix, s.matrix), perm)
     # the relabel shares the exchanged buffer, which nothing else can write
     merged = _adopt(exchanged.data, (new_local, new_local), (new_local, new_local))
-    # Each intermediate is as large as the output: free it before the new
-    # state's positivity check allocates its own copies.
-    del exchanged
-    return IterateState(k=s.k + 1, matrix=merged, local_dim=new_local)
+    spectrum = np.sort(np.multiply.outer(s.spectrum, s.spectrum), axis=None)
+    return _derived(s.k + 1, merged, new_local, spectrum)
 
 
 def certify_iterate(

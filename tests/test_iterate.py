@@ -46,23 +46,14 @@ class TestIterateState:
         with pytest.raises(ShapeError):
             IterateState(0, rho, 3)
 
-    @staticmethod
-    def _forbid_spectrum(monkeypatch):
-        """Accepted states must pass on the Cholesky route alone."""
-
-        def no_spectrum(a):
-            raise AssertionError("eigvalsh runs only to report a rejection")
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
-
-    def test_accepts_rank_deficient_pure_state(self, monkeypatch):
+    def test_accepts_rank_deficient_pure_state(self):
         psi = np.zeros(4, dtype=np.complex128)
         psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
         rho = np.outer(psi, psi.conj())
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(rho)  # singular: only the shifted matrix has a factor
-        self._forbid_spectrum(monkeypatch)
-        IterateState(0, ComplexMatrix(rho, (2, 2), (2, 2)), 2)
+        s = IterateState(0, ComplexMatrix(rho, (2, 2), (2, 2)), 2)
+        # three zero eigenvalues, which rounding may leave a hair below zero
+        assert np.allclose(s.spectrum, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+        assert np.allclose(e_step(s).spectrum, [0.0] * 15 + [1.0], atol=1e-15)
 
     @staticmethod
     def _with_smallest_eigenvalue(lam, real=False):
@@ -74,16 +65,17 @@ class TestIterateState:
         m = q @ np.diag([0.6, 0.4 - lam, 0.0, lam]) @ q.conj().T
         return ComplexMatrix((m + m.conj().T) / 2.0, (2, 2), (2, 2))
 
-    def test_psd_tolerance_boundary(self, monkeypatch):
+    def test_psd_tolerance_boundary(self):
         # the complex basis takes the complex route, the orthogonal one the real
         for real in (False, True):
             below = self._with_smallest_eigenvalue(-2e-10, real)
             assert below.data.imag.any() != real
             with pytest.raises(ShapeError, match="min eig"):
                 IterateState(0, below, 2)
-        self._forbid_spectrum(monkeypatch)
-        for real in (False, True):
-            IterateState(0, self._with_smallest_eigenvalue(-0.5e-10, real), 2)
+            s = IterateState(0, self._with_smallest_eigenvalue(-0.5e-10, real), 2)
+            assert s.spectrum[0] == pytest.approx(-0.5e-10, abs=1e-15)
+            # the step's smallest product, -0.5e-10 * 0.6, passes too
+            assert e_step(s).spectrum[0] == pytest.approx(-0.3e-10, abs=1e-15)
 
     def test_hermiticity_checked_before_positivity(self):
         # a real and a complex non-Hermitian entry; both inputs are also not
@@ -94,23 +86,33 @@ class TestIterateState:
             with pytest.raises(SymmetryError):
                 IterateState(0, ComplexMatrix(bad, (2, 2), (2, 2)), 2)
 
-    def test_real_matrices_are_factored_in_real_arithmetic(self, monkeypatch):
+    def test_real_matrices_are_diagonalized_in_real_arithmetic(self, monkeypatch):
         seen = []
-        cholesky = np.linalg.cholesky
+        eigvalsh = np.linalg.eigvalsh
 
         def recording(a):
             seen.append(a.dtype)
-            return cholesky(a)
+            return eigvalsh(a)
 
-        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        # the step derives its spectrum: only the Werner state is diagonalized
         e_step(initial_iterate(WernerParams(3, -0.25)))
-        assert seen == [np.float64, np.float64]
+        assert seen == [np.float64]
         seen.clear()
         # Hermitian with a nonzero imaginary part: the complex route
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(np.complex128)
         rho[0, 1], rho[1, 0] = 0.05j, -0.05j
         IterateState(0, ComplexMatrix(rho, (2, 2), (2, 2)), 2)
         assert seen == [np.complex128]
+
+    def test_spectrum_is_not_a_constructor_argument(self):
+        rho = werner_state(WernerParams(2, -0.25))
+        with pytest.raises(TypeError):
+            IterateState(0, rho, 2, spectrum=np.full(4, 0.25))
+        for s in (IterateState(0, rho, 2), e_step(initial_iterate(WernerParams(2, -0.25)))):
+            assert not s.spectrum.flags.writeable
+            with pytest.raises(ValueError):
+                s.spectrum[0] = 1.0
 
     @staticmethod
     def _with_entries(entries):
@@ -253,10 +255,33 @@ class TestEStep:
         ev1 = np.linalg.eigvalsh(s1.matrix.data)
         assert np.allclose(np.sort(ev1), np.sort(np.outer(ev0, ev0).reshape(-1)), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_spectrum_matches_the_materialized_output(self, d):
+        for beta in (-1.0, -0.5, -0.25, 0.0, 0.3, 1.0):
+            s = initial_iterate(WernerParams(d, beta))
+            for _ in range(2 if d == 2 else 1):
+                s = e_step(s)
+                expect = np.linalg.eigvalsh(s.matrix.data)
+                assert np.max(np.abs(s.spectrum - expect)) <= 1e-13
+
+    def test_never_factors_or_diagonalizes_its_output(self, monkeypatch):
+        s0 = initial_iterate(WernerParams(3, -0.25))
+        sides = []
+        for name in ("cholesky", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                sides.append(a.shape[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        e_step(s0)
+        assert all(side <= s0.matrix.rows for side in sides), sides
+
     def test_frees_intermediates_before_the_check(self):
         # the kron result and its exchange, which the output shares, peak at
-        # twice the output's size; the check's real shifted copy and factor are
-        # half of it each.  One more output-sized copy alive would show here.
+        # twice the output's size; the checks add only tiles of the output.
+        # One more output-sized copy alive would show here.
         s0 = initial_iterate(WernerParams(5, -0.25))
         tracemalloc.start()
         try:
